@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .graph import (Graph, bits, find_claw, find_diamond, induced_subgraph,
-                    is_clique_graph, is_connected, is_hole_graph,
-                    is_triangle_free, hole_order, mask_of)
-from .graph import biconnected_blocks
+from .graph import (Graph, biconnected_blocks, bits, components_masks,
+                    find_claw, find_diamond, induced_subgraph, is_clique_graph,
+                    is_connected, is_hole_graph, is_triangle_free, hole_order,
+                    mask_of)
 from .oracle import ConfigWitness, is_pyramid
 
 Edge = tuple[int, int]
@@ -134,8 +134,6 @@ def _root_with_edge_map(g: Graph) -> Optional[tuple[Graph, list[Edge]]]:
 
 def _canonicalize_triangles(root: Graph, edge_of: list[Edge]) -> tuple[Graph, list[Edge]]:
     """Replace every triangle component of the root by a claw."""
-    from .graph import components_masks, mask_of
-
     tri_comps = []
     for comp in components_masks(root):
         vs = bits(comp)

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .gen import plant_configuration, synth_only_prism, synth_only_pyramid
-from .graph import Graph, from_graph6, write_graph_file
+from .graph import Graph, from_graph6, parse_edge_list, write_graph_file
 from .oracle import DEFAULT_CAP, KINDS, OracleScaleError, scan_configs
 from .cutset import clique_decomposition_tree
 from .recognize import CLASS_NAMES, RECOGNIZERS
@@ -41,7 +41,6 @@ def _load_graph(path: str, fmt: str) -> Graph:
         text = fh.read()
     if fmt == "graph6":
         return from_graph6(text)
-    from .graph import parse_edge_list
     return parse_edge_list(text)
 
 

@@ -28,6 +28,8 @@ class Graph:
     def __init__(self, n: int, adj_masks: Sequence[int], tags: Optional[Sequence[Optional[str]]] = None):
         if n < 0 or n > MAX_NODES:
             raise ValueError(f"node count {n} outside supported range 0..{MAX_NODES}")
+        if len(adj_masks) != n:
+            raise ValueError(f"{len(adj_masks)} adjacency rows for {n} nodes")
         full = (1 << n) - 1
         for v in range(n):
             row = adj_masks[v]
@@ -163,21 +165,28 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> tuple[Graph, tuple[int, 
 
 # -- connectivity ---------------------------------------------------------
 
+def reach(g: Graph, sources: int, within: int) -> int:
+    """The sources plus every node of within that a path inside within
+    connects to one of them, as a bitmask."""
+    adj = g._adj
+    seen = frontier = sources
+    while frontier:
+        nxt = 0
+        while frontier:
+            b = frontier & -frontier
+            nxt |= adj[b.bit_length() - 1]
+            frontier ^= b
+        frontier = nxt & within & ~seen
+        seen |= frontier
+    return seen
+
+
 def components_masks(g: Graph, within: Optional[int] = None) -> list[int]:
     """Connected components as bitmasks, ordered by smallest contained id."""
     todo = g.full_mask() if within is None else within
     comps = []
     while todo:
-        start = todo & -todo
-        comp = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= g.adj_mask(v)
-            nxt &= todo & ~comp
-            comp |= nxt
-            frontier = nxt
+        comp = reach(g, todo & -todo, todo)
         comps.append(comp)
         todo &= ~comp
     return comps
@@ -289,10 +298,47 @@ def is_chordless_cycle_sequence(g: Graph, nodes: Sequence[int]) -> bool:
 
 # -- small structural predicates -------------------------------------------
 
+def is_clique_mask(g: Graph, m: int) -> bool:
+    """True iff the nodes of mask m are pairwise adjacent."""
+    adj = g._adj
+    return all(adj[v] & m == m & ~(1 << v) for v in _bits(m))
+
+
 def is_clique_graph(g: Graph) -> bool:
     """True iff g itself is complete (vacuously for n <= 1)."""
-    full = g.full_mask()
-    return all(g.adj_mask(v) == full & ~(1 << v) for v in range(g.n))
+    return is_clique_mask(g, g.full_mask())
+
+
+def path_order(g: Graph, part: int) -> Optional[list[int]]:
+    """Node order of the chordless path that mask part induces, from its
+    lower end, or None if part does not induce a path."""
+    adj = g._adj
+    if part.bit_count() == 1:
+        return [part.bit_length() - 1]
+    ends = []
+    for v in _bits(part):
+        d = (adj[v] & part).bit_count()
+        if d == 1:
+            ends.append(v)
+        elif d != 2:
+            return None
+    if len(ends) != 2:
+        return None
+    order = [ends[0]]
+    seen = 1 << ends[0]
+    cur = ends[0]
+    while True:
+        nxt = adj[cur] & part & ~seen
+        if not nxt:
+            break
+        if nxt.bit_count() > 1:
+            return None
+        cur = nxt.bit_length() - 1
+        order.append(cur)
+        seen |= nxt
+    if len(order) != part.bit_count() or order[-1] != ends[1]:
+        return None
+    return order
 
 
 def is_hole_graph(g: Graph) -> bool:
@@ -369,39 +415,45 @@ class EdgeListParseError(ValueError):
 
 
 def parse_edge_list(text: str) -> Graph:
-    rows: list[tuple[int, list[int]]] = []
+    """Parse the edge-list format; errors carry the offending line."""
+    pairs = _integer_pairs(text)
+    header = next(pairs, None)
+    if header is None:
+        raise EdgeListParseError("missing header line 'n m'", 1)
+    header_line, n, m = header
+    if n < 0 or m < 0:
+        raise EdgeListParseError("header counts must be nonnegative", header_line)
+    line = header_line
+
+    def edges() -> Iterator[tuple[int, int]]:
+        nonlocal line
+        for line, u, v in pairs:
+            yield u, v
+
+    try:
+        g = Graph.from_edge_list(n, edges())
+    except EdgeListParseError:
+        raise
+    except ValueError as exc:
+        raise EdgeListParseError(str(exc), line) from None
+    if g.m != m:  # duplicates were refused, so g.m counts the edge lines
+        raise EdgeListParseError(
+            f"header announces {m} edges but file lists {g.m}", header_line)
+    return g
+
+
+def _integer_pairs(text: str) -> Iterator[tuple[int, int, int]]:
+    """(line number, a, b) for every non-blank, non-comment line."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
         if not body:
             continue
         parts = body.split()
-        if len(parts) != 2:
-            raise EdgeListParseError(f"expected two integers, got {body!r}", lineno)
         try:
-            a, b = int(parts[0]), int(parts[1])
+            a, b = map(int, parts)
         except ValueError:
             raise EdgeListParseError(f"expected two integers, got {body!r}", lineno) from None
-        rows.append((lineno, [a, b]))
-    if not rows:
-        raise EdgeListParseError("missing header line 'n m'", 1)
-    header_line, (n, m) = rows[0]
-    if n < 0 or m < 0:
-        raise EdgeListParseError("header counts must be nonnegative", header_line)
-    if len(rows) - 1 != m:
-        raise EdgeListParseError(
-            f"header announces {m} edges but file lists {len(rows) - 1}", header_line)
-    edges = []
-    for lineno, (u, v) in rows[1:]:
-        try:
-            probe = Graph.from_edge_list(n, [(u, v)])
-        except ValueError as exc:
-            raise EdgeListParseError(str(exc), lineno) from None
-        del probe
-        edges.append((u, v))
-    try:
-        return Graph.from_edge_list(n, edges)
-    except ValueError as exc:
-        raise EdgeListParseError(str(exc), header_line) from None
+        yield lineno, a, b
 
 
 def format_edge_list(g: Graph) -> str:
@@ -438,6 +490,8 @@ def from_graph6(line: str) -> Graph:
         body = data[4:]
     else:
         raise ValueError("graph6 sizes above 258047 not supported")
+    if n > MAX_NODES:
+        raise ValueError(f"node count {n} outside supported range 0..{MAX_NODES}")
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) < need:
         raise ValueError("graph6 string too short")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .graph import Graph, bits, mask_of
+from .graph import Graph, bits, components_masks, mask_of, path_order, reach
 
 KINDS = ("theta", "wheel", "prism", "pyramid")
 
@@ -63,64 +63,13 @@ class ConfigWitness:
 
 # -- mask-level helpers ------------------------------------------------------
 
-def _comp_masks(adj: Sequence[int], within: int) -> list[int]:
-    comps = []
-    todo = within
-    while todo:
-        start = todo & -todo
-        comp = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                b = m & -m
-                nxt |= adj[b.bit_length() - 1]
-                m ^= b
-            nxt &= todo & ~comp
-            comp |= nxt
-            frontier = nxt
-        comps.append(comp)
-        todo &= ~comp
-    return comps
-
-
-def _path_order(adj: Sequence[int], part: int) -> Optional[list[int]]:
-    """Node order of an induced path, or None if part does not induce one."""
-    if part.bit_count() == 1:
-        return [part.bit_length() - 1]
-    ends = []
-    for v in bits(part):
-        d = (adj[v] & part).bit_count()
-        if d == 1:
-            ends.append(v)
-        elif d != 2:
-            return None
-    if len(ends) != 2:
-        return None
-    order = [ends[0]]
-    seen = 1 << ends[0]
-    cur = ends[0]
-    while True:
-        nxt = adj[cur] & part & ~seen
-        if not nxt:
-            break
-        if nxt.bit_count() > 1:
-            return None
-        cur = nxt.bit_length() - 1
-        order.append(cur)
-        seen |= nxt
-    if len(order) != part.bit_count() or order[-1] != ends[1]:
-        return None
-    return order
-
-
-def _walk_from(adj: Sequence[int], sub: int, start: int, first: int,
+def _walk_from(g: Graph, sub: int, start: int, first: int,
                stop_mask: int) -> Optional[tuple[int, list[int]]]:
     """Follow degree-2 nodes from start via first until a stop node.
 
     Returns (stop node, interior list) or None if the walk dies or revisits.
     """
+    adj = g._adj
     interior = []
     prev, cur = start, first
     seen = (1 << start) | (1 << first)
@@ -138,7 +87,8 @@ def _walk_from(adj: Sequence[int], sub: int, start: int, first: int,
     return cur, interior
 
 
-def _triangles(adj: Sequence[int], sub: int) -> list[tuple[int, int, int]]:
+def _triangles(g: Graph, sub: int) -> list[tuple[int, int, int]]:
+    adj = g._adj
     out = []
     nodes = bits(sub)
     for i, u in enumerate(nodes):
@@ -154,7 +104,8 @@ def _triangles(adj: Sequence[int], sub: int) -> list[tuple[int, int, int]]:
 
 # -- whole-graph structural checks (mask core) -------------------------------
 
-def _theta_mask(adj: Sequence[int], sub: int) -> Optional[ConfigWitness]:
+def _theta_mask(g: Graph, sub: int) -> Optional[ConfigWitness]:
+    adj = g._adj
     if sub.bit_count() < _MIN_NODES["theta"]:
         return None
     deg3 = []
@@ -170,7 +121,7 @@ def _theta_mask(adj: Sequence[int], sub: int) -> Optional[ConfigWitness]:
     if adj[a] & (1 << b):
         return None
     rest = sub & ~(1 << a) & ~(1 << b)
-    comps = _comp_masks(adj, rest)
+    comps = components_masks(g, rest)
     if len(comps) != 3:
         return None
     paths = []
@@ -182,7 +133,7 @@ def _theta_mask(adj: Sequence[int], sub: int) -> Optional[ConfigWitness]:
                 return None
             paths.append([a, comp.bit_length() - 1, b])
             continue
-        order = _path_order(adj, comp)
+        order = path_order(g, comp)
         if order is None:
             return None
         if na == 1 << order[0] and nb == 1 << order[-1]:
@@ -195,7 +146,8 @@ def _theta_mask(adj: Sequence[int], sub: int) -> Optional[ConfigWitness]:
                          {"a": a, "b": b, "paths": paths})
 
 
-def _wheel_mask(adj: Sequence[int], sub: int) -> Optional[ConfigWitness]:
+def _wheel_mask(g: Graph, sub: int) -> Optional[ConfigWitness]:
+    adj = g._adj
     if sub.bit_count() < _MIN_NODES["wheel"]:
         return None
     for c in bits(sub):
@@ -211,7 +163,7 @@ def _wheel_mask(adj: Sequence[int], sub: int) -> Optional[ConfigWitness]:
                 break
         if not ok:
             continue
-        if len(_comp_masks(adj, rim)) != 1:
+        if reach(g, rim & -rim, rim) != rim:
             continue
         start = rim & -rim
         v0 = start.bit_length() - 1
@@ -228,7 +180,8 @@ def _wheel_mask(adj: Sequence[int], sub: int) -> Optional[ConfigWitness]:
     return None
 
 
-def _prism_mask(adj: Sequence[int], sub: int) -> Optional[ConfigWitness]:
+def _prism_mask(g: Graph, sub: int) -> Optional[ConfigWitness]:
+    adj = g._adj
     if sub.bit_count() < _MIN_NODES["prism"]:
         return None
     deg3 = 0
@@ -240,7 +193,7 @@ def _prism_mask(adj: Sequence[int], sub: int) -> Optional[ConfigWitness]:
             return None
     if deg3.bit_count() != 6:
         return None
-    tris = _triangles(adj, sub)
+    tris = _triangles(g, sub)
     if len(tris) != 2:
         return None
     ta, tb = tris
@@ -254,7 +207,7 @@ def _prism_mask(adj: Sequence[int], sub: int) -> Optional[ConfigWitness]:
         out = adj[a_i] & sub & ~ta_mask
         if out.bit_count() != 1:
             return None
-        res = _walk_from(adj, sub, a_i, out.bit_length() - 1, tb_mask | ta_mask)
+        res = _walk_from(g, sub, a_i, out.bit_length() - 1, tb_mask | ta_mask)
         if res is None:
             return None
         end, interior = res
@@ -269,7 +222,8 @@ def _prism_mask(adj: Sequence[int], sub: int) -> Optional[ConfigWitness]:
                          {"triangles": [list(ta), list(tb)], "paths": paths})
 
 
-def _pyramid_mask(adj: Sequence[int], sub: int) -> Optional[ConfigWitness]:
+def _pyramid_mask(g: Graph, sub: int) -> Optional[ConfigWitness]:
+    adj = g._adj
     if sub.bit_count() < _MIN_NODES["pyramid"]:
         return None
     deg3 = 0
@@ -281,7 +235,7 @@ def _pyramid_mask(adj: Sequence[int], sub: int) -> Optional[ConfigWitness]:
             return None
     if deg3.bit_count() != 4:
         return None
-    tris = _triangles(adj, sub)
+    tris = _triangles(g, sub)
     if len(tris) != 1:
         return None
     tri = tris[0]
@@ -304,7 +258,7 @@ def _pyramid_mask(adj: Sequence[int], sub: int) -> Optional[ConfigWitness]:
             short += 1
             paths.append([apex, b_i])
             continue
-        res = _walk_from(adj, sub, b_i, first, apex_mask | tri_mask)
+        res = _walk_from(g, sub, b_i, first, apex_mask | tri_mask)
         if res is None:
             return None
         end, interior = res
@@ -326,22 +280,22 @@ _CHECKS = {"theta": _theta_mask, "wheel": _wheel_mask,
 
 def is_theta(g: Graph) -> Optional[ConfigWitness]:
     """Witness iff the whole graph is a theta."""
-    return _theta_mask(g._adj, g.full_mask())
+    return _theta_mask(g, g.full_mask())
 
 
 def is_wheel(g: Graph) -> Optional[ConfigWitness]:
     """Witness iff the whole graph is a wheel (rim plus its center)."""
-    return _wheel_mask(g._adj, g.full_mask())
+    return _wheel_mask(g, g.full_mask())
 
 
 def is_prism(g: Graph) -> Optional[ConfigWitness]:
     """Witness iff the whole graph is a prism."""
-    return _prism_mask(g._adj, g.full_mask())
+    return _prism_mask(g, g.full_mask())
 
 
 def is_pyramid(g: Graph) -> Optional[ConfigWitness]:
     """Witness iff the whole graph is a pyramid."""
-    return _pyramid_mask(g._adj, g.full_mask())
+    return _pyramid_mask(g, g.full_mask())
 
 
 def is_long_pyramid(g: Graph) -> bool:
@@ -433,7 +387,7 @@ def _scan(g: Graph, wanted: tuple[str, ...], first_only: bool) -> dict:
                 else:  # wheel: at most the center may exceed degree 3
                     if dhi > 1:
                         continue
-                w = _CHECKS[kind](adj, sub)
+                w = _CHECKS[kind](g, sub)
                 if w is not None:
                     found[kind] = w
                     if first_only:
@@ -463,20 +417,12 @@ def has_star_cutset(g: Graph) -> Optional[tuple[int, frozenset[int]]]:
         for i, u in enumerate(rest):
             for v in rest[i + 1:]:
                 s_mask = star & ~(1 << u) & ~(1 << v)
-                remain = full & ~s_mask
-                comps = _comp_masks(g._adj, remain)
-                if len(comps) < 2:
-                    continue
-                cu = next(c for c in comps if c & (1 << u))
-                if cu & (1 << v):
+                if reach(g, 1 << u, full & ~s_mask) & (1 << v):
                     continue
                 # greedy minimization, keeping the center
                 for s in bits(s_mask & ~(1 << x)):
                     trial = s_mask & ~(1 << s)
-                    trial_comps = _comp_masks(g._adj, full & ~trial)
-                    if len(trial_comps) >= 2:
-                        tu = next(c for c in trial_comps if c & (1 << u))
-                        if not tu & (1 << v):
-                            s_mask = trial
+                    if not reach(g, 1 << u, full & ~trial) & (1 << v):
+                        s_mask = trial
                 return x, frozenset(bits(s_mask))
     return None

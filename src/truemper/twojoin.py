@@ -16,10 +16,10 @@ three-node marker path; composition is the inverse operation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from .graph import (Graph, bits, components_masks, is_clique_graph,
-                    is_hole_graph, mask_of)
+                    is_clique_mask, is_hole_graph, mask_of, path_order, reach)
 
 BRUTE_FALLBACK_MAX = 13
 
@@ -95,41 +95,12 @@ def validate_split(g: Graph, s: TwoJoinSplit, mode: str = "full") -> ValidationR
     if mode == "almost":
         return ValidationReport(True)
     for side, am, bm, name in ((x1, a1, b1, "X1"), (x2, a2, b2, "X2")):
-        if not _side_has_special_path(g, side, am, bm):
+        if not reach(g, am, side) & bm:
             return ValidationReport(False, f"{name} has no path between its special sets")
     for side, am, bm, name in ((x1, a1, b1, "X1"), (x2, a2, b2, "X2")):
-        if am.bit_count() == 1 and bm.bit_count() == 1 and _is_chordless_path_mask(g, side):
+        if am.bit_count() == 1 and bm.bit_count() == 1 and path_order(g, side) is not None:
             return ValidationReport(False, f"{name} is a chordless path with singleton special sets")
     return ValidationReport(True)
-
-
-def _side_has_special_path(g: Graph, side: int, am: int, bm: int) -> bool:
-    reach = am
-    frontier = am
-    while frontier:
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= g.adj_mask(v)
-        nxt &= side & ~reach
-        reach |= nxt
-        frontier = nxt
-    return bool(reach & bm)
-
-
-def _is_chordless_path_mask(g: Graph, side: int) -> bool:
-    nodes = bits(side)
-    if len(nodes) == 1:
-        return True
-    ends = 0
-    for v in nodes:
-        d = (g.adj_mask(v) & side).bit_count()
-        if d == 1:
-            ends += 1
-        elif d != 2:
-            return False
-    if ends != 2:
-        return False
-    return len(components_masks(g, side)) == 1
 
 
 # -- consistency ---------------------------------------------------------------
@@ -184,52 +155,40 @@ def is_consistent(g: Graph, s: TwoJoinSplit) -> tuple[bool, Optional[int]]:
             return False, 6
     # 7 and 8: reachability avoiding the opposite special set internally
     for side, am, bm in sides:
-        for v in bits(side):
-            if not _reaches_avoiding(g, side, v, target=bm, forbidden=am):
-                return False, 7
+        if not _all_reach_avoiding(g, side, target=bm, forbidden=am):
+            return False, 7
     for side, am, bm in sides:
-        for v in bits(side):
-            if not _reaches_avoiding(g, side, v, target=am, forbidden=bm):
-                return False, 8
+        if not _all_reach_avoiding(g, side, target=am, forbidden=bm):
+            return False, 8
     return True, None
 
 
-def _is_clique_mask(g: Graph, m: int) -> bool:
-    for u in bits(m):
-        if g.adj_mask(u) & m != m & ~(1 << u):
-            return False
-    return True
+def _all_reach_avoiding(g: Graph, side: int, target: int, forbidden: int) -> bool:
+    """Whether every node of side reaches target by a path inside side
+    whose internal nodes avoid forbidden.
+
+    One search from target through side minus forbidden finds the nodes
+    outside forbidden that qualify; a node of forbidden qualifies when it
+    has a neighbor among them.
+    """
+    allowed = side & ~forbidden
+    reached = reach(g, target, allowed)
+    if allowed & ~reached:
+        return False
+    return all(g.adj_mask(v) & reached for v in bits(forbidden))
 
 
 def _is_union_of_cliques(g: Graph, m: int) -> bool:
-    return all(_is_clique_mask(g, comp) for comp in components_masks(g, m))
+    return all(is_clique_mask(g, comp) for comp in components_masks(g, m))
 
 
 def _clique_pair_ok(g: Graph, m1: int, m2: int) -> bool:
-    if _is_clique_mask(g, m1) and _is_clique_mask(g, m2):
+    if is_clique_mask(g, m1) and is_clique_mask(g, m2):
         return True
     if m1.bit_count() == 1 and _is_union_of_cliques(g, m2):
         return True
     if m2.bit_count() == 1 and _is_union_of_cliques(g, m1):
         return True
-    return False
-
-
-def _reaches_avoiding(g: Graph, side: int, v: int, target: int, forbidden: int) -> bool:
-    if target & (1 << v):
-        return True
-    allowed = (side & ~forbidden) | (1 << v)
-    reach = 1 << v
-    frontier = reach
-    while frontier:
-        nxt = 0
-        for u in bits(frontier):
-            nxt |= g.adj_mask(u)
-        if nxt & target & side:
-            return True
-        nxt &= allowed & ~reach
-        reach |= nxt
-        frontier = nxt
     return False
 
 
@@ -253,7 +212,7 @@ def find_2join(g: Graph) -> Optional[TwoJoinSplit]:
     if split is not None:
         return split
     if g.n <= BRUTE_FALLBACK_MAX:
-        return _brute_2join(g)
+        return next(_brute_splits(g, "full"), None)
     return None
 
 
@@ -382,10 +341,15 @@ def _bundles_of_partition(g: Graph, x1: int, x2: int) -> Optional[tuple[int, int
     return a1, b1, m_a, m_b
 
 
-def _brute_2join(g: Graph) -> Optional[TwoJoinSplit]:
+def _brute_splits(g: Graph, mode: str) -> Iterator[TwoJoinSplit]:
+    """Every split that validate_split accepts in the given mode, by
+    exhaustive partition enumeration with node 0 kept in X1 (swapping the
+    sides gives an equivalent split)."""
+    if g.n < 6:
+        return
     full = g.full_mask()
     for half in range(1 << (g.n - 1)):
-        x1 = (half << 1) | 1  # node 0 stays on side 1; complements are equivalent
+        x1 = (half << 1) | 1
         x2 = full & ~x1
         if x1.bit_count() < 3 or x2.bit_count() < 3:
             continue
@@ -397,9 +361,8 @@ def _brute_2join(g: Graph) -> Optional[TwoJoinSplit]:
             frozenset(bits(x1)), frozenset(bits(x2)),
             frozenset(bits(a1)), frozenset(bits(a2)),
             frozenset(bits(b1)), frozenset(bits(b2)))
-        if validate_split(g, split, mode="full"):
-            return split
-    return None
+        if validate_split(g, split, mode=mode):
+            yield split
 
 
 def all_2joins_brute(g: Graph) -> list[TwoJoinSplit]:
@@ -410,52 +373,15 @@ def all_2joins_brute(g: Graph) -> list[TwoJoinSplit]:
     """
     if g.n > 16:
         raise ValueError("brute-force 2-join sweep capped at 16 nodes")
-    out = []
-    if g.n < 6:
-        return out
-    full = g.full_mask()
-    for half in range(1 << (g.n - 1)):
-        x1 = (half << 1) | 1
-        x2 = full & ~x1
-        if x1.bit_count() < 3 or x2.bit_count() < 3:
-            continue
-        bundles = _bundles_of_partition(g, x1, x2)
-        if bundles is None:
-            continue
-        a1, b1, a2, b2 = bundles
-        split = TwoJoinSplit(
-            frozenset(bits(x1)), frozenset(bits(x2)),
-            frozenset(bits(a1)), frozenset(bits(a2)),
-            frozenset(bits(b1)), frozenset(bits(b2)))
-        if validate_split(g, split, mode="full"):
-            out.append(split)
-    return out
+    return list(_brute_splits(g, "full"))
 
 
 def all_almost_2joins_brute(g: Graph) -> list[TwoJoinSplit]:
-    """Every valid almost-2-join split, exhaustively (both side orders)."""
+    """Every valid almost-2-join split, exhaustively (one per partition,
+    node 0 in X1)."""
     if g.n > 16:
         raise ValueError("brute-force almost-2-join sweep capped at 16 nodes")
-    out = []
-    if g.n < 6:
-        return out
-    full = g.full_mask()
-    for half in range(1 << (g.n - 1)):
-        x1 = (half << 1) | 1
-        x2 = full & ~x1
-        if x1.bit_count() < 3 or x2.bit_count() < 3:
-            continue
-        bundles = _bundles_of_partition(g, x1, x2)
-        if bundles is None:
-            continue
-        a1, b1, a2, b2 = bundles
-        split = TwoJoinSplit(
-            frozenset(bits(x1)), frozenset(bits(x2)),
-            frozenset(bits(a1)), frozenset(bits(a2)),
-            frozenset(bits(b1)), frozenset(bits(b2)))
-        if validate_split(g, split, mode="almost"):
-            out.append(split)
-    return out
+    return list(_brute_splits(g, "almost"))
 
 
 # -- blocks and composition -------------------------------------------------------

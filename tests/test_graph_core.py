@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from truemper.graph import (EdgeListParseError, Graph, biconnected_blocks,
-                            components, find_claw, find_diamond,
+                            components, components_masks, find_claw, find_diamond,
                             format_edge_list, from_graph6, induced_subgraph,
                             is_clique_graph, is_connected, is_hole_graph,
                             is_triangle_free, parse_edge_list)
@@ -36,6 +36,12 @@ class TestFromEdgeList:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             Graph.from_edge_list(3, [(0, 3)])
+
+    def test_row_count_must_match_node_count(self):
+        with pytest.raises(ValueError, match="adjacency rows"):
+            Graph(2, [2, 1, 0])
+        with pytest.raises(ValueError, match="adjacency rows"):
+            Graph(3, [2, 1])
 
 
 class TestInducedSubgraph:
@@ -78,6 +84,7 @@ class TestConnectivity:
 
     def test_components_partition_nodes(self):
         rng = random.Random(2)
+        mask_rng = random.Random(3)
         for _ in range(50):
             g = random_graph(rng, rng.randint(1, 9), 0.25)
             comps = components(g)
@@ -86,6 +93,18 @@ class TestConnectivity:
                 assert not (c & seen)
                 seen |= c
             assert seen == set(range(g.n))
+            within = mask_rng.getrandbits(g.n)
+            masks = components_masks(g, within)
+            union = 0
+            for c in masks:
+                assert not c & union
+                union |= c
+                assert components_masks(g, c) == [c]  # connected
+                for v in range(g.n):
+                    if c >> v & 1:
+                        assert not g.adj_mask(v) & within & ~c  # maximal
+            assert union == within
+            assert masks == sorted(masks, key=lambda c: c & -c)
 
 
 class TestBiconnectedBlocks:
@@ -213,6 +232,13 @@ class TestEdgeListFormat:
         with pytest.raises(EdgeListParseError) as err:
             parse_edge_list("2 2\n0 1\n")
         assert err.value.line == 1
+        for text, line, message in (
+                ("3 2\n0 1\n\n0 3\n", 4, "out of range"),
+                ("3 2\n0 1\n# comment\n2 2\n", 4, "self-loop"),
+                ("3 3\n0 1\n1 2\n1 0\n", 4, "duplicate")):
+            with pytest.raises(EdgeListParseError, match=message) as err:
+                parse_edge_list(text)
+            assert err.value.line == line
 
     def test_wrong_edge_count(self):
         with pytest.raises(EdgeListParseError):
@@ -228,6 +254,11 @@ class TestGraph6:
 
     def test_header_prefix(self):
         assert from_graph6(">>graph6<<C~") == K4
+
+    def test_node_count_checked_before_body(self):
+        # "~@?@" announces n = 4097, one above the supported range
+        with pytest.raises(ValueError, match="outside supported range"):
+            from_graph6("~@?@?")
 
 
 class TestNodeSequences:

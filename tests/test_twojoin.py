@@ -4,9 +4,10 @@ import pytest
 
 from truemper.cutset import find_clique_cutset
 from truemper.gen import _marker_candidates, _tag_markers, make_pyramid
-from truemper.graph import Graph
+from truemper.graph import Graph, bits, mask_of
 from truemper.oracle import scan_configs
 from truemper.twojoin import (CONSISTENCY_CONDITIONS, TwoJoinSplit,
+                              _all_reach_avoiding,
                               all_2joins_brute, all_almost_2joins_brute,
                               blocks_of_2join, check_marker_precondition,
                               compose_2join, compose_2join_with_split,
@@ -27,6 +28,43 @@ def composed_long_pyramids():
     lp = make_pyramid((3, 3, 3))
     t = _tag_markers(lp, (4, 5, 1))
     return compose_2join_with_split(t, t)
+
+
+def reaches_avoiding(g, side, v, target, forbidden):
+    """Reference for consistency conditions 7 and 8, one search per node:
+    whether v reaches target by a path inside side whose internal nodes
+    avoid forbidden."""
+    if target & (1 << v):
+        return True
+    allowed = (side & ~forbidden) | (1 << v)
+    reach = 1 << v
+    frontier = reach
+    while frontier:
+        nxt = 0
+        for u in bits(frontier):
+            nxt |= g.adj_mask(u)
+        if nxt & target & side:
+            return True
+        nxt &= allowed & ~reach
+        reach |= nxt
+        frontier = nxt
+    return False
+
+
+def reference_is_consistent(g, s):
+    """is_consistent with conditions 7 and 8 decided node by node."""
+    ok, idx = is_consistent(g, s)
+    if idx is not None and idx < 7:
+        return ok, idx
+    sides = ((mask_of(s.X1), mask_of(s.A1), mask_of(s.B1)),
+             (mask_of(s.X2), mask_of(s.A2), mask_of(s.B2)))
+    for side, am, bm in sides:
+        if not all(reaches_avoiding(g, side, v, bm, am) for v in bits(side)):
+            return False, 7
+    for side, am, bm in sides:
+        if not all(reaches_avoiding(g, side, v, am, bm) for v in bits(side)):
+            return False, 8
+    return True, None
 
 
 C8 = hole(8)
@@ -97,6 +135,28 @@ class TestIsConsistent:
                          frozenset({0}), frozenset({7}))
         with pytest.raises(ValueError, match="almost"):
             is_consistent(C8, s)
+
+    def test_conditions_seven_and_eight_match_per_node_search(self):
+        # conditions 1-2 decide most random splits, so the one-search
+        # check is also compared on every side of every almost 2-join
+        rng = random.Random(78)
+        outcomes = set()
+        sides_checked = 0
+        for _ in range(600):
+            g = random_graph(rng, rng.randint(6, 10), rng.choice([0.3, 0.5, 0.7]))
+            for s in all_almost_2joins_brute(g):
+                got = is_consistent(g, s)
+                assert got == reference_is_consistent(g, s), (g.edges(), s)
+                outcomes.add(got[1])
+                for x, a, b in ((s.X1, s.A1, s.B1), (s.X2, s.A2, s.B2)):
+                    side, am, bm = mask_of(x), mask_of(a), mask_of(b)
+                    for target, forbidden in ((bm, am), (am, bm)):
+                        want = all(reaches_avoiding(g, side, v, target, forbidden)
+                                   for v in bits(side))
+                        assert _all_reach_avoiding(g, side, target, forbidden) == want
+                        sides_checked += 1
+        assert {None, 7, 8} <= outcomes
+        assert sides_checked > 10000
 
 
 class TestFind2Join:
