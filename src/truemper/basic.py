@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .graph import (Graph, biconnected_blocks, bits, components_masks,
-                    find_claw, find_diamond, induced_subgraph, is_clique_graph,
-                    is_connected, is_hole_graph, is_triangle_free, hole_order,
-                    mask_of)
+from .graph import (Graph, biconnected_blocks, bits, cliques,
+                    components_masks, find_claw, find_diamond, graph_json,
+                    induced_subgraph, is_clique_graph, is_connected,
+                    is_hole_graph, is_triangle_free, hole_order, mask_of)
 from .oracle import ConfigWitness, is_pyramid
 
 Edge = tuple[int, int]
@@ -59,14 +59,7 @@ def _krausz_partition(g: Graph) -> Optional[list[frozenset[int]]]:
     def candidates(u: int, v: int) -> list[tuple[int, ...]]:
         common = mask_of(w for w in bits(g.adj_mask(u) & g.adj_mask(v))
                          if clique_count[w] < 2)
-        extras: list[tuple[int, ...]] = []
-
-        def grow(clique: tuple[int, ...], cand: int) -> None:
-            extras.append(clique)
-            for w in bits(cand):
-                grow(clique + (w,), cand & g.adj_mask(w) & ~((1 << (w + 1)) - 1))
-
-        grow((), common)
+        extras = [()] + [tuple(bits(c)) for c in cliques(g, common)]
         options: list[tuple[int, ...]] = []
         for extra in sorted(extras, key=lambda t: (-len(t), t)):
             nodes = tuple(sorted((u, v) + extra))
@@ -305,8 +298,7 @@ class LabeledSafeTree:
 
     def to_json(self) -> dict:
         return {
-            "tree": {"n": self.tree.n,
-                     "edges": [[u, v] for u, v in self.tree.edges()]},
+            "tree": graph_json(self.tree),
             "labels": {f"{u} {v}": lab
                        for (u, v), lab in sorted(self.normalized_labels().items())},
         }
@@ -432,8 +424,7 @@ class BasicVerdict:
         if self.certificate is None:
             cert = None
         elif isinstance(self.certificate, Graph):
-            cert = {"n": self.certificate.n,
-                    "edges": [[u, v] for u, v in self.certificate.edges()]}
+            cert = graph_json(self.certificate)
         elif isinstance(self.certificate, LabeledSafeTree):
             cert = self.certificate.to_json()
         elif isinstance(self.certificate, ConfigWitness):

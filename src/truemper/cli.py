@@ -152,7 +152,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         for key in ("kind", "seed", "size", "count"):
-            if key not in manifest:
+            if not isinstance(manifest, dict) or key not in manifest:
                 print(f"error: manifest is missing {key!r}", file=sys.stderr)
                 return 2
         kind, seed = manifest["kind"], manifest["seed"]
@@ -166,6 +166,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if kind not in GENERATE_KINDS:
         print(f"error: unknown generate kind {kind!r}", file=sys.stderr)
         return 2
+    for key, value, low in (("seed", seed, None), ("size", size, 1),
+                            ("count", count, 0)):
+        if type(value) is not int or (low is not None and value < low):
+            bound = "" if low is None else f" of at least {low}"
+            print(f"error: {key} must be an integer{bound}, got {value!r}",
+                  file=sys.stderr)
+            return 2
     outputs = _generate_batch(kind, seed, size, count, args.out)
     _write_manifest(f"generate {kind}", [], outputs, seed, None,
                     os.path.join(args.out, "manifest.json"),

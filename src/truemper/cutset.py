@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .graph import (Graph, bits, components_masks, induced_subgraph,
-                    is_clique_graph, mask_of)
+from .graph import (Graph, bits, cliques, components_masks, graph_json,
+                    induced_subgraph, is_clique_graph, mask_of)
 
 
 @dataclass(frozen=True)
@@ -55,15 +55,7 @@ def _component_candidates(g: Graph) -> Iterator[int]:
     caller trims K down to the exact neighborhood of the winner.
     """
     full = g.full_mask()
-    adj = g._adj
-
-    def extend(clique_mask: int, cand: int) -> Iterator[int]:
-        for v in bits(cand):
-            new = clique_mask | (1 << v)
-            yield new
-            yield from extend(new, cand & adj[v] & ~((1 << (v + 1)) - 1))
-
-    for clique in extend(0, full):
+    for clique in cliques(g, full):
         rest = full & ~clique
         if not rest:
             continue
@@ -146,8 +138,7 @@ class CliqueDecompTree:
     def to_json(self) -> dict:
         def node_json(node: CliqueDecompNode) -> dict:
             out = {
-                "n": node.graph.n,
-                "edges": [[u, v] for u, v in node.graph.edges()],
+                **graph_json(node.graph),
                 "origin": list(node.origin),
                 "kind": "leaf" if node.is_leaf else "internal",
             }

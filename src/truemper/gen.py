@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .basic import (LabeledSafeTree, build_pyramid_basic, is_chordless_graph,
                     is_safe_tree, line_graph, pendant_edges, pendant_siblings)
-from .graph import Graph, bits, is_triangle_free, mask_of
+from .graph import (Graph, bits, cliques, graph_from_json, graph_json,
+                    is_triangle_free, mask_of)
 from .oracle import KINDS
 from .twojoin import (MARKER_TAGS, check_marker_precondition,
                       compose_2join_with_split, is_consistent, validate_split)
@@ -43,14 +44,6 @@ class SynthRecipe:
     def from_json(data: dict) -> "SynthRecipe":
         return SynthRecipe(data["kind"], data["seed"], data["size"],
                            list(data["ops"]))
-
-
-def _graph_json(g: Graph) -> dict:
-    return {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
-
-
-def _graph_from_json(data: dict) -> Graph:
-    return Graph.from_edge_list(data["n"], [tuple(e) for e in data["edges"]])
 
 
 # -- triangle-free chordless hosts --------------------------------------------
@@ -124,17 +117,7 @@ def glue_on_clique(g1: Graph, k1: Sequence[int], g2: Graph,
 def _cliques_of_size(g: Graph, k: int) -> list[tuple[int, ...]]:
     if k == 0:
         return [()]
-    out = []
-
-    def extend(clique: tuple[int, ...], cand: int) -> None:
-        if len(clique) == k:
-            out.append(clique)
-            return
-        for v in bits(cand):
-            extend(clique + (v,), cand & g.adj_mask(v) & ~((1 << (v + 1)) - 1))
-
-    extend((), g.full_mask())
-    return out
+    return [tuple(bits(c)) for c in cliques(g, g.full_mask()) if c.bit_count() == k]
 
 
 # -- factor stock ----------------------------------------------------------------
@@ -281,6 +264,31 @@ def _compose_step(host: Graph, host_marker: tuple[int, int, int],
 
 # -- synthesis -------------------------------------------------------------------
 
+def _glue_until(rng: random.Random, g: Graph, size: int, recipe: SynthRecipe,
+                draw_factor: Callable[[random.Random], Graph],
+                max_k: int) -> Graph:
+    """Glue random factors onto g along random cliques of at most max_k
+    nodes until g has size nodes or a step runs out of attempts."""
+    while g.n < size:
+        for _ in range(ATTEMPTS_PER_STEP):
+            factor = draw_factor(rng)
+            k = rng.randint(0, min(max_k, factor.n))
+            host_cliques = _cliques_of_size(g, k)
+            factor_cliques = _cliques_of_size(factor, k)
+            if not host_cliques or not factor_cliques:
+                continue
+            k1 = rng.choice(host_cliques)
+            k2 = rng.choice(factor_cliques)
+            g = glue_on_clique(g, k1, factor, k2)
+            recipe.ops.append({"op": "glue", "factor": graph_json(factor),
+                               "host_clique": list(k1),
+                               "factor_clique": list(k2)})
+            break
+        else:
+            break
+    return g
+
+
 def synth_only_prism(seed: int, size: int) -> tuple[Graph, SynthRecipe]:
     """A random only-prism member of at least the requested size, with a
     replayable recipe (clique gluings of line graphs of triangle-free
@@ -290,27 +298,10 @@ def synth_only_prism(seed: int, size: int) -> tuple[Graph, SynthRecipe]:
     rng = random.Random(f"synth-only-prism:{seed}:{size}")
     recipe = SynthRecipe("only-prism", seed, size)
     g = _random_only_prism_factor(rng)
-    recipe.ops.append({"op": "factor", "graph": _graph_json(g)})
-    target = size
-    while g.n < target:
-        grew = False
-        for _ in range(ATTEMPTS_PER_STEP):
-            factor = _random_only_prism_factor(rng)
-            k = rng.randint(0, 3)
-            host_cliques = _cliques_of_size(g, k)
-            factor_cliques = _cliques_of_size(factor, k)
-            if not host_cliques or not factor_cliques:
-                continue
-            k1 = rng.choice(host_cliques)
-            k2 = rng.choice(factor_cliques)
-            g = glue_on_clique(g, k1, factor, k2)
-            recipe.ops.append({"op": "glue", "factor": _graph_json(factor),
-                               "host_clique": list(k1),
-                               "factor_clique": list(k2)})
-            grew = True
-            break
-        if not grew:
-            break
+    recipe.ops.append({"op": "factor", "graph": graph_json(g)})
+    # factors have at least 3 nodes (roots have at least 4), so every
+    # gluing draws k from 0..3
+    g = _glue_until(rng, g, size, recipe, _random_only_prism_factor, 3)
     return g, recipe
 
 
@@ -323,7 +314,7 @@ def synth_only_pyramid(seed: int, size: int) -> tuple[Graph, SynthRecipe]:
     rng = random.Random(f"synth-only-pyramid:{seed}:{size}")
     recipe = SynthRecipe("only-pyramid", seed, size)
     g = _random_only_pyramid_factor(rng, compose_friendly=True)
-    recipe.ops.append({"op": "factor", "graph": _graph_json(g)})
+    recipe.ops.append({"op": "factor", "graph": graph_json(g)})
     compose_target = max(size // 2, size - 10)
     while g.n < compose_target:
         composed = False
@@ -341,32 +332,14 @@ def synth_only_pyramid(seed: int, size: int) -> tuple[Graph, SynthRecipe]:
                 g = _compose_step(g, hm, factor, fm)
             except ValueError:
                 continue
-            recipe.ops.append({"op": "compose", "factor": _graph_json(factor),
+            recipe.ops.append({"op": "compose", "factor": graph_json(factor),
                                "host_marker": list(hm),
                                "factor_marker": list(fm)})
             composed = True
             break
         if not composed:
             break
-    while g.n < size:
-        grew = False
-        for _ in range(ATTEMPTS_PER_STEP):
-            factor = _random_only_pyramid_factor(rng)
-            k = rng.randint(0, min(2, factor.n))
-            host_cliques = _cliques_of_size(g, k)
-            factor_cliques = _cliques_of_size(factor, k)
-            if not host_cliques or not factor_cliques:
-                continue
-            k1 = rng.choice(host_cliques)
-            k2 = rng.choice(factor_cliques)
-            g = glue_on_clique(g, k1, factor, k2)
-            recipe.ops.append({"op": "glue", "factor": _graph_json(factor),
-                               "host_clique": list(k1),
-                               "factor_clique": list(k2)})
-            grew = True
-            break
-        if not grew:
-            break
+    g = _glue_until(rng, g, size, recipe, _random_only_pyramid_factor, 2)
     return g, recipe
 
 
@@ -375,13 +348,13 @@ def replay_recipe(recipe: SynthRecipe) -> Graph:
     g: Optional[Graph] = None
     for op in recipe.ops:
         if op["op"] == "factor":
-            g = _graph_from_json(op["graph"])
+            g = graph_from_json(op["graph"])
         elif op["op"] == "glue":
-            factor = _graph_from_json(op["factor"])
+            factor = graph_from_json(op["factor"])
             g = glue_on_clique(g, tuple(op["host_clique"]), factor,
                                tuple(op["factor_clique"]))
         elif op["op"] == "compose":
-            factor = _graph_from_json(op["factor"])
+            factor = graph_from_json(op["factor"])
             g = _compose_step(g, tuple(op["host_marker"]), factor,
                               tuple(op["factor_marker"]))
         else:

@@ -309,6 +309,21 @@ def is_clique_graph(g: Graph) -> bool:
     return is_clique_mask(g, g.full_mask())
 
 
+def cliques(g: Graph, cand: int) -> Iterator[int]:
+    """Every nonempty clique inside mask cand, as a mask, in lexicographic
+    order of the ascending node lists (a clique comes before its
+    extensions)."""
+    adj = g._adj
+
+    def extend(clique: int, cand: int) -> Iterator[int]:
+        for v in _bits(cand):
+            new = clique | (1 << v)
+            yield new
+            yield from extend(new, cand & adj[v] & ~((1 << (v + 1)) - 1))
+
+    return extend(0, cand)
+
+
 def path_order(g: Graph, part: int) -> Optional[list[int]]:
     """Node order of the chordless path that mask part induces, from its
     lower end, or None if part does not induce a path."""
@@ -404,6 +419,17 @@ def find_claw(g: Graph) -> Optional[frozenset[int]]:
     return None
 
 
+# -- graph JSON ------------------------------------------------------------------
+# The {"n", "edges"} object of docs/schemas/graph.schema.json.
+
+def graph_json(g: Graph) -> dict:
+    return {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
+
+
+def graph_from_json(data: dict) -> Graph:
+    return Graph.from_edge_list(data["n"], [tuple(e) for e in data["edges"]])
+
+
 # -- edge-list text format --------------------------------------------------
 # Canonical on-disk representation: first line "n m", then m lines "u v",
 # 0-based, whitespace separated, '#' starts a comment.
@@ -421,8 +447,6 @@ def parse_edge_list(text: str) -> Graph:
     if header is None:
         raise EdgeListParseError("missing header line 'n m'", 1)
     header_line, n, m = header
-    if n < 0 or m < 0:
-        raise EdgeListParseError("header counts must be nonnegative", header_line)
     line = header_line
 
     def edges() -> Iterator[tuple[int, int]]:
@@ -449,11 +473,11 @@ def _integer_pairs(text: str) -> Iterator[tuple[int, int, int]]:
         if not body:
             continue
         parts = body.split()
-        try:
-            a, b = map(int, parts)
-        except ValueError:
-            raise EdgeListParseError(f"expected two integers, got {body!r}", lineno) from None
-        yield lineno, a, b
+        # plain ASCII digits only: int() would also take "1_0", "+1" and
+        # non-ASCII digits
+        if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
+            raise EdgeListParseError(f"expected two integers, got {body!r}", lineno)
+        yield lineno, int(parts[0]), int(parts[1])
 
 
 def format_edge_list(g: Graph) -> str:
@@ -493,12 +517,14 @@ def from_graph6(line: str) -> Graph:
     if n > MAX_NODES:
         raise ValueError(f"node count {n} outside supported range 0..{MAX_NODES}")
     need = (n * (n - 1) // 2 + 5) // 6
-    if len(body) < need:
-        raise ValueError("graph6 string too short")
+    if len(body) != need:
+        raise ValueError(f"graph6 body has {len(body)} characters, expected {need}")
     bitstream = 0
-    for b in body[:need]:
+    for b in body:
         bitstream = (bitstream << 6) | b
     total = need * 6
+    if bitstream & ((1 << (total - n * (n - 1) // 2)) - 1):
+        raise ValueError("graph6 padding bits must be zero")
     edges = []
     k = 0
     for v in range(1, n):

@@ -87,6 +87,20 @@ def _walk_from(g: Graph, sub: int, start: int, first: int,
     return cur, interior
 
 
+def _degree3(g: Graph, sub: int) -> Optional[int]:
+    """The nodes of degree 3 in G[sub] as a mask, or None if some node of
+    sub has a degree other than 2 or 3 there."""
+    adj = g._adj
+    deg3 = 0
+    for v in bits(sub):
+        d = (adj[v] & sub).bit_count()
+        if d == 3:
+            deg3 |= 1 << v
+        elif d != 2:
+            return None
+    return deg3
+
+
 def _triangles(g: Graph, sub: int) -> list[tuple[int, int, int]]:
     adj = g._adj
     out = []
@@ -108,16 +122,10 @@ def _theta_mask(g: Graph, sub: int) -> Optional[ConfigWitness]:
     adj = g._adj
     if sub.bit_count() < _MIN_NODES["theta"]:
         return None
-    deg3 = []
-    for v in bits(sub):
-        d = (adj[v] & sub).bit_count()
-        if d == 3:
-            deg3.append(v)
-        elif d != 2:
-            return None
-    if len(deg3) != 2:
+    deg3 = _degree3(g, sub)
+    if deg3 is None or deg3.bit_count() != 2:
         return None
-    a, b = deg3
+    a, b = bits(deg3)
     if adj[a] & (1 << b):
         return None
     rest = sub & ~(1 << a) & ~(1 << b)
@@ -184,14 +192,8 @@ def _prism_mask(g: Graph, sub: int) -> Optional[ConfigWitness]:
     adj = g._adj
     if sub.bit_count() < _MIN_NODES["prism"]:
         return None
-    deg3 = 0
-    for v in bits(sub):
-        d = (adj[v] & sub).bit_count()
-        if d == 3:
-            deg3 |= 1 << v
-        elif d != 2:
-            return None
-    if deg3.bit_count() != 6:
+    deg3 = _degree3(g, sub)
+    if deg3 is None or deg3.bit_count() != 6:
         return None
     tris = _triangles(g, sub)
     if len(tris) != 2:
@@ -226,14 +228,8 @@ def _pyramid_mask(g: Graph, sub: int) -> Optional[ConfigWitness]:
     adj = g._adj
     if sub.bit_count() < _MIN_NODES["pyramid"]:
         return None
-    deg3 = 0
-    for v in bits(sub):
-        d = (adj[v] & sub).bit_count()
-        if d == 3:
-            deg3 |= 1 << v
-        elif d != 2:
-            return None
-    if deg3.bit_count() != 4:
+    deg3 = _degree3(g, sub)
+    if deg3 is None or deg3.bit_count() != 4:
         return None
     tris = _triangles(g, sub)
     if len(tris) != 1:

@@ -3,23 +3,26 @@ graph classes via decomposition.
 
 only-prism graphs exclude thetas, wheels and pyramids; only-pyramid
 graphs exclude thetas, wheels and prisms; universally-signable graphs
-exclude all four configurations.  Each recognizer first decomposes along
-clique cutsets, then certifies the leaves: only-prism leaves must be
-line graphs of triangle-free chordless graphs; only-pyramid leaves are
-decomposed further along consistent 2-joins, whose terminal graphs must
-be cliques, holes, long pyramids or pyramid-basic graphs; universally-
-signable leaves must be cliques or holes.
+exclude all four configurations.  One driver, _recognize, serves all
+three: it decomposes the input along clique cutsets and hands every
+leaf to the class's certifier.  only-prism leaves must be line graphs of
+triangle-free chordless graphs; only-pyramid leaves are decomposed
+further along consistent 2-joins, whose terminal graphs must be cliques,
+holes, long pyramids or pyramid-basic graphs; universally-signable
+leaves must be cliques or holes.  The first failing leaf becomes the
+rejection, and only its graph goes to the oracle for a witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .basic import (BasicVerdict, ONLY_PYRAMID_BASIC, classify_basic,
                     is_lg_tf_chordless)
-from .cutset import CliqueDecompTree, clique_decomposition_tree
-from .graph import Graph, is_clique_graph, is_hole_graph
+from .cutset import (CliqueDecompNode, CliqueDecompTree,
+                     clique_decomposition_tree)
+from .graph import Graph, graph_json, is_clique_graph, is_hole_graph
 from .oracle import ConfigWitness, contains_config
 from .twojoin import (LEAF_NON_CONSISTENT, TwoJoinDecompTree,
                       two_join_decomposition_tree)
@@ -46,8 +49,7 @@ class LeafReport:
 
     def to_json(self) -> dict:
         out = {
-            "n": self.graph.n,
-            "edges": [[u, v] for u, v in self.graph.edges()],
+            **graph_json(self.graph),
             "origin": list(self.origin),
             "accepted": self.accepted,
         }
@@ -69,8 +71,7 @@ class Rejection:
     def to_json(self) -> dict:
         return {
             "reason": self.reason,
-            "leaf": {"n": self.graph.n,
-                     "edges": [[u, v] for u, v in self.graph.edges()]},
+            "leaf": graph_json(self.graph),
             "witness": None if self.witness is None else self.witness.to_json(),
             "failed_condition": self.failed_condition,
         }
@@ -94,34 +95,70 @@ class RecognitionReport:
         }
 
 
-def _extract_witness(g: Graph, class_name: str,
-                     witness_cap: Optional[int]) -> Optional[ConfigWitness]:
-    if witness_cap is None or g.n > witness_cap:
-        return None
-    return contains_config(g, EXCLUDED_SETS[class_name], cap=witness_cap)
+def _recognize(class_name: str, g: Graph, witness_cap: Optional[int],
+               certify: Callable[[CliqueDecompNode], tuple]) -> RecognitionReport:
+    """Run certify on every clique-tree leaf.  certify returns the leaf's
+    report and, for a failing leaf, (reason, offending graph, failed
+    consistency condition); the first failure rejects g."""
+    tree = clique_decomposition_tree(g)
+    leaves = []
+    rejection = None
+    for node in tree.leaves:
+        leaf, failure = certify(node)
+        leaves.append(leaf)
+        if failure is not None and rejection is None:
+            reason, graph, failed_condition = failure
+            witness = None
+            if witness_cap is not None and graph.n <= witness_cap:
+                witness = contains_config(graph, EXCLUDED_SETS[class_name],
+                                          cap=witness_cap)
+            rejection = Rejection(reason, graph, witness, failed_condition)
+    return RecognitionReport(class_name, rejection is None, tree, leaves,
+                             rejection)
+
+
+def _certify_lg_tf_chordless(node: CliqueDecompNode):
+    root = is_lg_tf_chordless(node.graph)
+    if root is not None:
+        basic = BasicVerdict("lg-tf-chordless", root)
+        return LeafReport(node.graph, node.origin, True, basic), None
+    return (LeafReport(node.graph, node.origin, False, BasicVerdict("none")),
+            ("leaf is not the line graph of a triangle-free chordless graph",
+             node.graph, None))
+
+
+def _certify_2join_leaves(node: CliqueDecompNode):
+    tj = two_join_decomposition_tree(node.graph)
+    verdicts = []
+    failure = None
+    for tnode in tj.leaves:
+        if tnode.kind == LEAF_NON_CONSISTENT:
+            if failure is None:
+                failure = ("leaf carries a non-consistent 2-join", tnode.graph,
+                           tnode.failed_condition)
+            continue
+        verdict = classify_basic(tnode.graph)
+        verdicts.append(verdict)
+        if verdict.category not in ONLY_PYRAMID_BASIC and failure is None:
+            failure = ("terminal graph is not a clique, hole, long pyramid "
+                       "or pyramid-basic graph", tnode.graph, None)
+    leaf = LeafReport(node.graph, node.origin, failure is None, None, tj, verdicts)
+    return leaf, failure
+
+
+def _certify_clique_or_hole(node: CliqueDecompNode):
+    if is_clique_graph(node.graph) or is_hole_graph(node.graph):
+        return LeafReport(node.graph, node.origin, True,
+                          classify_basic(node.graph)), None
+    return (LeafReport(node.graph, node.origin, False, BasicVerdict("none")),
+            ("leaf is neither a clique nor a hole", node.graph, None))
 
 
 def recognize_only_prism(g: Graph, witness_cap: Optional[int] = None) -> RecognitionReport:
     """Decide membership in the class excluding thetas, wheels and
     pyramids: every clique-tree leaf must be the line graph of a
     triangle-free chordless graph."""
-    tree = clique_decomposition_tree(g)
-    leaves = []
-    rejection = None
-    verdict = True
-    for node in tree.leaves:
-        root_cert = is_lg_tf_chordless(node.graph)
-        accepted = root_cert is not None
-        basic = (BasicVerdict("lg-tf-chordless", root_cert) if accepted
-                 else BasicVerdict("none"))
-        leaves.append(LeafReport(node.graph, node.origin, accepted, basic))
-        if not accepted and verdict:
-            verdict = False
-            rejection = Rejection(
-                "leaf is not the line graph of a triangle-free chordless graph",
-                node.graph,
-                _extract_witness(node.graph, "only-prism", witness_cap))
-    return RecognitionReport("only-prism", verdict, tree, leaves, rejection)
+    return _recognize("only-prism", g, witness_cap, _certify_lg_tf_chordless)
 
 
 def recognize_only_pyramid(g: Graph, witness_cap: Optional[int] = None) -> RecognitionReport:
@@ -134,69 +171,15 @@ def recognize_only_pyramid(g: Graph, witness_cap: Optional[int] = None) -> Recog
     graphs with no 2-join must be cliques, holes, long pyramids or
     pyramid-basic graphs.
     """
-    tree = clique_decomposition_tree(g)
-    leaves = []
-    rejection = None
-    verdict = True
-    for node in tree.leaves:
-        tj = two_join_decomposition_tree(node.graph)
-        verdicts = []
-        accepted = True
-        local_rejection = None
-        for tnode in tj.leaves:
-            if tnode.kind == LEAF_NON_CONSISTENT:
-                accepted = False
-                if local_rejection is None:
-                    local_rejection = Rejection(
-                        "leaf carries a non-consistent 2-join",
-                        tnode.graph,
-                        _extract_witness(tnode.graph, "only-pyramid", witness_cap),
-                        failed_condition=tnode.failed_condition)
-                continue
-            verdict_basic = classify_basic(tnode.graph)
-            verdicts.append(verdict_basic)
-            if verdict_basic.category not in ONLY_PYRAMID_BASIC:
-                accepted = False
-                if local_rejection is None:
-                    local_rejection = Rejection(
-                        "terminal graph is not a clique, hole, long pyramid "
-                        "or pyramid-basic graph",
-                        tnode.graph,
-                        _extract_witness(tnode.graph, "only-pyramid", witness_cap))
-        leaves.append(LeafReport(node.graph, node.origin, accepted,
-                                 None, tj, verdicts))
-        if not accepted and verdict:
-            verdict = False
-            rejection = local_rejection
-    return RecognitionReport("only-pyramid", verdict, tree, leaves, rejection)
+    return _recognize("only-pyramid", g, witness_cap, _certify_2join_leaves)
 
 
 def recognize_universally_signable(g: Graph,
                                    witness_cap: Optional[int] = None) -> RecognitionReport:
     """Decide whether g excludes all four configurations: every
     clique-tree leaf must be a clique or a hole."""
-    tree = clique_decomposition_tree(g)
-    leaves = []
-    rejection = None
-    verdict = True
-    for node in tree.leaves:
-        if is_clique_graph(node.graph):
-            basic = BasicVerdict("clique", sorted(range(node.graph.n)))
-            accepted = True
-        elif is_hole_graph(node.graph):
-            basic = classify_basic(node.graph)
-            accepted = True
-        else:
-            basic = BasicVerdict("none")
-            accepted = False
-        leaves.append(LeafReport(node.graph, node.origin, accepted, basic))
-        if not accepted and verdict:
-            verdict = False
-            rejection = Rejection(
-                "leaf is neither a clique nor a hole",
-                node.graph,
-                _extract_witness(node.graph, "universally-signable", witness_cap))
-    return RecognitionReport("universally-signable", verdict, tree, leaves, rejection)
+    return _recognize("universally-signable", g, witness_cap,
+                      _certify_clique_or_hole)
 
 
 RECOGNIZERS = {

@@ -18,8 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .graph import (Graph, bits, components_masks, is_clique_graph,
-                    is_clique_mask, is_hole_graph, mask_of, path_order, reach)
+from .graph import (Graph, bits, components_masks, graph_json,
+                    induced_subgraph, is_clique_graph, is_clique_mask,
+                    is_hole_graph, mask_of, path_order, reach)
 
 BRUTE_FALLBACK_MAX = 13
 
@@ -398,30 +399,21 @@ def blocks_of_2join(g: Graph, s: TwoJoinSplit) -> tuple[
     rep = validate_split(g, s, mode="full")
     if not rep:
         raise ValueError(f"not a 2-join: {rep.violation}")
-    g1 = _one_block(g, sorted(s.X1), s.A1, s.B1)
-    g2 = _one_block(g, sorted(s.X2), s.A2, s.B2)
+    g1 = _one_block(g, s.X1, s.A1, s.B1)
+    g2 = _one_block(g, s.X2, s.A2, s.B2)
     return g1, g2
 
 
-def _one_block(g: Graph, side_nodes: list[int], a_set: frozenset[int],
+def _one_block(g: Graph, x_set: frozenset[int], a_set: frozenset[int],
                b_set: frozenset[int]) -> tuple[Graph, tuple[Optional[int], ...]]:
-    pos = {old: i for i, old in enumerate(side_nodes)}
-    k = len(side_nodes)
-    ma, mc, mb = k, k + 1, k + 2
-    edges = []
-    side_mask = mask_of(side_nodes)
-    for old in side_nodes:
-        for w in bits(g.adj_mask(old) & side_mask):
-            if w > old:
-                edges.append((pos[old], pos[w]))
-    edges.extend((pos[v], ma) for v in sorted(a_set))
-    edges.extend((pos[v], mb) for v in sorted(b_set))
-    edges.append((ma, mc))
-    edges.append((mc, mb))
-    tags = [g.tags[old] for old in side_nodes] + list(MARKER_TAGS)
-    block = Graph.from_edge_list(k + 3, edges, tags)
-    origin: tuple[Optional[int], ...] = tuple(side_nodes) + (None, None, None)
-    return block, origin
+    side, origin = induced_subgraph(g, x_set)
+    pos = {old: i for i, old in enumerate(origin)}
+    ma, mc, mb = side.n, side.n + 1, side.n + 2
+    edges = side.edges() + [(ma, mc), (mc, mb)]
+    edges.extend((pos[v], ma) for v in a_set)
+    edges.extend((pos[v], mb) for v in b_set)
+    block = Graph.from_edge_list(side.n + 3, edges, side.tags + MARKER_TAGS)
+    return block, origin + (None, None, None)
 
 
 def marker_path_of(g: Graph) -> tuple[int, int, int]:
@@ -479,32 +471,15 @@ def compose_2join_with_split(g1: Graph, g2: Graph) -> tuple[Graph, TwoJoinSplit]
     """
     s1 = check_marker_precondition(g1)
     s2 = check_marker_precondition(g2)
-    a_mark1, _c1, b_mark1 = marker_path_of(g1)
-    a_mark2, _c2, b_mark2 = marker_path_of(g2)
-    part1 = sorted(s1.X1)
-    part2 = sorted(s2.X1)
+    h1, part1 = induced_subgraph(g1, s1.X1)
+    h2, part2 = induced_subgraph(g2, s2.X1)
+    off = h1.n
     pos1 = {old: i for i, old in enumerate(part1)}
-    off = len(part1)
     pos2 = {old: off + i for i, old in enumerate(part2)}
-    edges = []
-    m1 = mask_of(part1)
-    for old in part1:
-        for w in bits(g1.adj_mask(old) & m1):
-            if w > old:
-                edges.append((pos1[old], pos1[w]))
-    m2 = mask_of(part2)
-    for old in part2:
-        for w in bits(g2.adj_mask(old) & m2):
-            if w > old:
-                edges.append((pos2[old], pos2[w]))
-    for u in sorted(bits(g1.adj_mask(a_mark1) & m1)):
-        for v in sorted(bits(g2.adj_mask(a_mark2) & m2)):
-            edges.append((pos1[u], pos2[v]))
-    for u in sorted(bits(g1.adj_mask(b_mark1) & m1)):
-        for v in sorted(bits(g2.adj_mask(b_mark2) & m2)):
-            edges.append((pos1[u], pos2[v]))
-    tags = [g1.tags[old] for old in part1] + [g2.tags[old] for old in part2]
-    composed = Graph.from_edge_list(off + len(part2), edges, tags)
+    edges = h1.edges() + [(off + u, off + v) for u, v in h2.edges()]
+    edges.extend((pos1[u], pos2[v]) for u in s1.A1 for v in s2.A1)
+    edges.extend((pos1[u], pos2[v]) for u in s1.B1 for v in s2.B1)
+    composed = Graph.from_edge_list(off + h2.n, edges, h1.tags + h2.tags)
     split = TwoJoinSplit(
         frozenset(range(off)), frozenset(range(off, composed.n)),
         frozenset(pos1[v] for v in s1.A1), frozenset(pos2[v] for v in s2.A1),
@@ -550,8 +525,7 @@ class TwoJoinDecompTree:
     def to_json(self) -> dict:
         def node_json(node: TwoJoinDecompNode) -> dict:
             out = {
-                "n": node.graph.n,
-                "edges": [[u, v] for u, v in node.graph.edges()],
+                **graph_json(node.graph),
                 "kind": node.kind,
             }
             if node.split is not None:

@@ -194,6 +194,27 @@ class TestGenerateCommand:
         assert main(["generate", "only-prism", "--out", str(workdir)]) == 2
         capsys.readouterr()
 
+    def test_bad_size_or_count_exits_two(self, workdir, capsys):
+        for extra in (["--size", "0"], ["--size", "5", "--count", "-1"]):
+            assert main(["generate", "only-prism", "--seed", "1",
+                         "--out", str(workdir)] + extra) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+
+    def test_bad_replay_manifest_exits_two(self, workdir, capsys):
+        good = {"kind": "only-prism", "seed": 1, "size": 5, "count": 1}
+        for bad in ({"seed": "1"}, {"count": "2"}, {"size": 0},
+                    {"count": -1}, {"seed": True}):
+            path = workdir / "manifest.json"
+            path.write_text(json.dumps({**good, **bad}))
+            assert main(["generate", "--replay", str(path),
+                         "--out", str(workdir / "out")]) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+        path.write_text(json.dumps(["kind", "seed", "size", "count"]))
+        assert main(["generate", "--replay", str(path),
+                     "--out", str(workdir / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (workdir / "out").exists()
+
 
 class TestOracleCommand:
     def test_theta_witness_printed(self, workdir, capsys):

@@ -1,13 +1,15 @@
+import json
 import random
 from itertools import combinations
 
 import pytest
 
 from truemper.graph import (EdgeListParseError, Graph, biconnected_blocks,
-                            components, components_masks, find_claw, find_diamond,
-                            format_edge_list, from_graph6, induced_subgraph,
-                            is_clique_graph, is_connected, is_hole_graph,
-                            is_triangle_free, parse_edge_list)
+                            bits, cliques, components, components_masks,
+                            find_claw, find_diamond, format_edge_list,
+                            from_graph6, graph_from_json, graph_json,
+                            induced_subgraph, is_clique_graph, is_connected,
+                            is_hole_graph, is_triangle_free, parse_edge_list)
 
 from util import all_graphs, is_isomorphic, random_graph
 
@@ -197,6 +199,19 @@ class TestSmallPredicates:
         assert find_claw(claw) == frozenset({0, 1, 2, 3})
         assert find_claw(C5) is None
 
+    def test_cliques_match_brute_force(self):
+        rng = random.Random(11)
+        mask_rng = random.Random(12)
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(0, 9), rng.choice([0.3, 0.6, 0.9]))
+            for cand in (g.full_mask(), mask_rng.getrandbits(g.n)):
+                nodes = bits(cand)
+                brute = sorted(
+                    c for k in range(1, len(nodes) + 1)
+                    for c in combinations(nodes, k)
+                    if all(g.has_edge(u, v) for u, v in combinations(c, 2)))
+                assert [tuple(bits(c)) for c in cliques(g, cand)] == brute
+
     def test_finders_match_brute_force(self):
         def brute(g, shape):
             for quad in combinations(range(g.n), 4):
@@ -235,7 +250,10 @@ class TestEdgeListFormat:
         for text, line, message in (
                 ("3 2\n0 1\n\n0 3\n", 4, "out of range"),
                 ("3 2\n0 1\n# comment\n2 2\n", 4, "self-loop"),
-                ("3 3\n0 1\n1 2\n1 0\n", 4, "duplicate")):
+                ("3 3\n0 1\n1 2\n1 0\n", 4, "duplicate"),
+                ("11 1\n0 1_0\n", 2, "expected two integers"),
+                ("3 1\n+0 \u0662\n", 2, "expected two integers"),
+                ("-1 0\n", 1, "expected two integers")):
             with pytest.raises(EdgeListParseError, match=message) as err:
                 parse_edge_list(text)
             assert err.value.line == line
@@ -254,6 +272,12 @@ class TestGraph6:
 
     def test_header_prefix(self):
         assert from_graph6(">>graph6<<C~") == K4
+
+    def test_body_length_and_padding_checked(self):
+        with pytest.raises(ValueError, match="expected 1"):
+            from_graph6("C~~~~")  # K4 plus trailing characters
+        with pytest.raises(ValueError, match="padding"):
+            from_graph6("Dhd")  # C5 with a nonzero padding bit
 
     def test_node_count_checked_before_body(self):
         # "~@?@" announces n = 4097, one above the supported range
@@ -283,3 +307,4 @@ class TestNodeSequences:
 def test_every_small_graph_round_trips_through_text():
     for g in all_graphs(4):
         assert parse_edge_list(format_edge_list(g)) == g
+        assert graph_from_json(json.loads(json.dumps(graph_json(g)))) == g

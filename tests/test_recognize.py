@@ -1,11 +1,12 @@
 import random
 
+import truemper.recognize
 from truemper.gen import (glue_on_clique, make_pyramid, plant_configuration,
                           random_tf_chordless)
 from truemper.basic import line_graph
 from truemper.graph import Graph, induced_subgraph
-from truemper.oracle import (is_prism, is_pyramid, is_theta, is_wheel,
-                             scan_configs)
+from truemper.oracle import (contains_config, is_prism, is_pyramid, is_theta,
+                             is_wheel, scan_configs)
 from truemper.recognize import (EXCLUDED_SETS, recognize_only_prism,
                                 recognize_only_pyramid,
                                 recognize_universally_signable)
@@ -66,6 +67,21 @@ class TestOnlyPyramid:
         report = recognize_only_pyramid(PRISM6, witness_cap=14)
         assert not report.verdict
         assert report.rejection.witness.kind == "prism"
+
+    def test_oracle_runs_for_the_first_rejecting_leaf_only(self, monkeypatch):
+        calls = []
+
+        def counting(g, kinds, cap):
+            calls.append(g.n)
+            return contains_config(g, kinds, cap=cap)
+
+        monkeypatch.setattr(truemper.recognize, "contains_config", counting)
+        two_prisms = Graph.from_edge_list(
+            12, PRISM6.edges() + [(u + 6, v + 6) for u, v in PRISM6.edges()])
+        report = recognize_only_pyramid(two_prisms, witness_cap=14)
+        assert [leaf.accepted for leaf in report.leaves] == [False, False]
+        assert report.rejection.witness.kind == "prism"
+        assert calls == [6]
 
 
 class TestUniversallySignable:
