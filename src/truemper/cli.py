@@ -30,10 +30,11 @@ def _default_cap() -> int:
     raw = os.environ.get("TRUEMPER_ORACLE_CAP")
     if raw is None:
         return DEFAULT_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(f"TRUEMPER_ORACLE_CAP must be an integer, got {raw!r}")
+    # plain ASCII digits only: int() would also take "1_5", "+15" and "-1"
+    if not (raw.isascii() and raw.isdigit()):
+        raise ValueError(
+            f"TRUEMPER_ORACLE_CAP must be a nonnegative integer, got {raw!r}")
+    return int(raw)
 
 
 def _load_graph(path: str, fmt: str) -> Graph:
@@ -68,10 +69,10 @@ def _write_manifest(command: str, inputs: list[str], outputs: list[str],
 def cmd_recognize(args: argparse.Namespace) -> int:
     try:
         g = _load_graph(args.input, args.format)
+        cap = args.cap if args.cap is not None else _default_cap()
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    cap = args.cap if args.cap is not None else _default_cap()
     recognizer = RECOGNIZERS[args.cls]
     report = recognizer(g, witness_cap=cap if args.witness else None)
     verdict = "in class" if report.verdict else "not in class"
@@ -185,10 +186,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     try:
         g = _load_graph(args.input, args.format)
+        cap = args.cap if args.cap is not None else _default_cap()
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    cap = args.cap if args.cap is not None else _default_cap()
     kinds = tuple(args.kinds.split(",")) if args.kinds else KINDS
     try:
         found = scan_configs(g, kinds, cap=cap)

@@ -1,10 +1,10 @@
 """Immutable simple undirected graphs over contiguous integer node ids.
 
-Adjacency is stored twice: as bitset rows (Python ints, one bit per
-neighbor) for fast set algebra, and as sorted neighbor tuples for
-iteration.  All operations are pure functions; edits return new graphs.
-Iteration order is ascending node id everywhere, so every "first found"
-answer is reproducible.
+Adjacency is stored once, as bitset rows (Python ints, one bit per
+neighbor); neighbor tuples are derived from them on demand.  All
+operations are pure functions; edits return new graphs.  Iteration order
+is ascending node id everywhere, so every "first found" answer is
+reproducible.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ class Graph:
     reads them.
     """
 
-    __slots__ = ("n", "_adj", "_nbrs", "tags")
+    __slots__ = ("n", "_adj", "tags")
 
     def __init__(self, n: int, adj_masks: Sequence[int], tags: Optional[Sequence[Optional[str]]] = None):
         if n < 0 or n > MAX_NODES:
@@ -48,7 +48,6 @@ class Graph:
                 w ^= b
         self.n = n
         self._adj = tuple(adj_masks)
-        self._nbrs = tuple(tuple(_bits(adj_masks[v])) for v in range(n))
         self.tags = tuple(tags) if tags is not None else tuple(None for _ in range(n))
         if len(self.tags) != n:
             raise ValueError("tags length must equal node count")
@@ -88,7 +87,7 @@ class Graph:
         return self._adj[v]
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._nbrs[v]
+        return tuple(_bits(self._adj[v]))
 
     def degree(self, v: int) -> int:
         return self._adj[v].bit_count()

@@ -90,6 +90,13 @@ class TestRecognizeCommand:
                      "--format", "graph6"]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("raw", ["abc", "1_5", "-1"])
+    def test_malformed_env_cap_exits_two(self, workdir, capsys, monkeypatch, raw):
+        path = write_graph(workdir, "w4.graph", W4)
+        monkeypatch.setenv("TRUEMPER_ORACLE_CAP", raw)
+        assert main(["recognize", "only-prism", path, "--witness"]) == 2
+        assert "error: TRUEMPER_ORACLE_CAP must be" in capsys.readouterr().err
+
 
 class TestDecomposeCommand:
     def test_clique_mode_on_chordal(self, workdir, capsys):
@@ -242,6 +249,13 @@ class TestOracleCommand:
         monkeypatch.setenv("TRUEMPER_ORACLE_CAP", "15")
         assert main(["oracle", path]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("raw", ["abc", "1_5", "-1"])
+    def test_malformed_env_cap_exits_two(self, workdir, capsys, monkeypatch, raw):
+        path = write_graph(workdir, "k23.graph", K23)
+        monkeypatch.setenv("TRUEMPER_ORACLE_CAP", raw)
+        assert main(["oracle", path]) == 2
+        assert "error: TRUEMPER_ORACLE_CAP must be" in capsys.readouterr().err
 
     def test_witness_json_validates(self, workdir, capsys):
         path = write_graph(workdir, "k23.graph", K23)

@@ -67,6 +67,32 @@ def reference_is_consistent(g, s):
     return True, None
 
 
+def sparse_planted_2join(rng, n):
+    """Two random trees (sometimes with one extra edge) joined by complete
+    bundles between small special sets, mostly single nodes; sometimes
+    one stray crossing edge.  Node ids are shuffled."""
+    k = rng.randint(3, n - 3)
+    sides = (list(range(k)), list(range(k, n)))
+    edges = set()
+    bundles = []
+    for side in sides:
+        for i in range(1, len(side)):
+            edges.add((rng.choice(side[:i]), side[i]))
+        if rng.random() < 0.3:
+            edges.add(tuple(sorted(rng.sample(side, 2))))
+        b_size = 2 if rng.random() < 0.2 else 1
+        a_size = 2 if rng.random() < 0.2 else 1
+        pick = rng.sample(side, min(len(side), a_size + b_size))
+        bundles.append((pick[:len(pick) - b_size], pick[len(pick) - b_size:]))
+    (a1, b1), (a2, b2) = bundles
+    if rng.random() < 0.3:
+        edges.add((rng.choice(sides[0]), rng.choice(sides[1])))
+    edges |= {(u, v) for u in a1 for v in a2} | {(u, v) for u in b1 for v in b2}
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph.from_edge_list(n, {tuple(sorted((perm[u], perm[v]))) for u, v in edges})
+
+
 C8 = hole(8)
 C8_SPLIT = TwoJoinSplit(frozenset({0, 1, 2, 3}), frozenset({4, 5, 6, 7}),
                         frozenset({3}), frozenset({4}),
@@ -189,6 +215,29 @@ class TestFind2Join:
     def test_deterministic(self):
         comp, _ = composed_long_pyramids()
         assert find_2join(comp) == find_2join(comp)
+
+    def test_agrees_with_brute_force_on_sparse_planted(self):
+        # n = 11..14, above the n <= 10 of test_agrees_with_brute_force
+        # and acceptance criterion 6
+        rng = random.Random(47)
+        found = 0
+        for _ in range(150):
+            g = sparse_planted_2join(rng, rng.randint(11, 14))
+            brute = all_2joins_brute(g)
+            mine = find_2join(g)
+            assert (mine is None) == (not brute), g.edges()
+            if mine is not None:
+                assert validate_split(g, mine, "full").ok
+                found += 1
+        assert found > 100
+
+    def test_c6_plus_twenty_isolated_nodes(self):
+        # C6 plus 20 isolated nodes: an isolated node in X1 keeps that side
+        # from being a chordless path
+        g = Graph.from_edge_list(26, [(i, (i + 1) % 6) for i in range(6)])
+        split = find_2join(g)
+        assert split is not None
+        assert validate_split(g, split, "full").ok
 
 
 class TestSizeLemma:
