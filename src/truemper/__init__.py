@@ -12,9 +12,10 @@ from .graph import (Graph, biconnected_blocks, components, find_claw,
 from .oracle import (ConfigWitness, DEFAULT_CAP, KINDS, OracleScaleError,
                      contains_config, has_star_cutset, is_long_pyramid,
                      is_prism, is_pyramid, is_theta, is_wheel, scan_configs)
-from .cutset import (CliqueDecompTree, CliqueSplit, blocks_of_clique_split,
+from .cutset import (CliqueSplit, blocks_of_clique_split,
                      clique_decomposition_tree, find_clique_cutset)
-from .twojoin import (TwoJoinDecompTree, TwoJoinSplit, blocks_of_2join,
+from .decomp import DecompNode, DecompTree
+from .twojoin import (TwoJoinSplit, blocks_of_2join,
                       compose_2join, compose_2join_with_split, find_2join,
                       is_consistent, two_join_decomposition_tree,
                       validate_split)

@@ -1,10 +1,12 @@
 """Command-line front end: recognize, decompose, generate, oracle.
 
 Exit codes: 0 means in class (or, for oracle runs, configuration-free),
-1 means not in class (configuration found), 2 means input error.  Every
-file-writing command emits a run manifest next to its outputs; replaying
-a generate manifest reproduces the files byte for byte.  The environment
-variable TRUEMPER_ORACLE_CAP overrides the default oracle cap of 14.
+1 means not in class (configuration found), 2 means input error: a bad
+argument, a malformed, missing or unreadable input, or an unwritable
+output.  Every file-writing command emits a run manifest next to its
+outputs; replaying a generate manifest reproduces the files byte for
+byte.  The environment variable TRUEMPER_ORACLE_CAP overrides the
+default oracle cap of 14, and --cap overrides both.
 """
 
 from __future__ import annotations
@@ -26,14 +28,16 @@ from .twojoin import two_join_decomposition_tree
 GENERATE_KINDS = ("only-prism", "only-pyramid") + tuple(f"planted:{k}" for k in KINDS)
 
 
-def _default_cap() -> int:
-    raw = os.environ.get("TRUEMPER_ORACLE_CAP")
+def _oracle_cap(flag: Optional[str]) -> int:
+    """--cap if given, else TRUEMPER_ORACLE_CAP, else the default 14."""
+    raw, name = flag, "--cap"
+    if raw is None:
+        raw, name = os.environ.get("TRUEMPER_ORACLE_CAP"), "TRUEMPER_ORACLE_CAP"
     if raw is None:
         return DEFAULT_CAP
     # plain ASCII digits only: int() would also take "1_5", "+15" and "-1"
     if not (raw.isascii() and raw.isdigit()):
-        raise ValueError(
-            f"TRUEMPER_ORACLE_CAP must be a nonnegative integer, got {raw!r}")
+        raise ValueError(f"{name} must be a nonnegative integer, got {raw!r}")
     return int(raw)
 
 
@@ -69,8 +73,8 @@ def _write_manifest(command: str, inputs: list[str], outputs: list[str],
 def cmd_recognize(args: argparse.Namespace) -> int:
     try:
         g = _load_graph(args.input, args.format)
-        cap = args.cap if args.cap is not None else _default_cap()
-    except (OSError, ValueError) as exc:
+        cap = _oracle_cap(args.cap)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     recognizer = RECOGNIZERS[args.cls]
@@ -83,6 +87,9 @@ def cmd_recognize(args: argparse.Namespace) -> int:
         print(f"  reason: {rej.reason}")
         if args.witness and rej.witness is not None:
             print(f"  witness: {json.dumps(rej.witness.to_json())}")
+        elif args.witness and rej.graph.n > cap:
+            print(f"  witness: none (offending graph has {rej.graph.n} nodes, "
+                  f"above the oracle cap {cap})")
     outputs = []
     if args.json:
         _dump_json(args.json, report.to_json())
@@ -96,7 +103,7 @@ def cmd_recognize(args: argparse.Namespace) -> int:
 def cmd_decompose(args: argparse.Namespace) -> int:
     try:
         g = _load_graph(args.input, args.format)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.mode == "clique":
@@ -149,7 +156,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         try:
             with open(args.replay, "r", encoding="utf-8") as fh:
                 manifest = json.load(fh)
-        except (OSError, ValueError) as exc:
+        except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         for key in ("kind", "seed", "size", "count"):
@@ -186,8 +193,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     try:
         g = _load_graph(args.input, args.format)
-        cap = args.cap if args.cap is not None else _default_cap()
-    except (OSError, ValueError) as exc:
+        cap = _oracle_cap(args.cap)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     kinds = tuple(args.kinds.split(",")) if args.kinds else KINDS
@@ -228,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--json", help="write the recognition report here")
     p_rec.add_argument("--witness", action="store_true",
                        help="extract an oracle witness on rejection (within cap)")
-    p_rec.add_argument("--cap", type=int, help="oracle node cap (default 14)")
+    p_rec.add_argument("--cap", help="oracle node cap (default 14)")
     p_rec.add_argument("--format", choices=("edgelist", "graph6"),
                        default="edgelist")
     p_rec.set_defaults(func=cmd_recognize)
@@ -256,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_or.add_argument("input")
     p_or.add_argument("--kinds", help="comma-separated subset of "
                                       f"{','.join(KINDS)} (default all)")
-    p_or.add_argument("--cap", type=int, help="oracle node cap (default 14)")
+    p_or.add_argument("--cap", help="oracle node cap (default 14)")
     p_or.add_argument("--json", help="write witnesses as JSON here")
     p_or.add_argument("--format", choices=("edgelist", "graph6"),
                       default="edgelist")
@@ -267,7 +274,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        # an unreadable input or an unwritable output is an input error,
+        # not a verdict
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

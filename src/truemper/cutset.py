@@ -5,18 +5,24 @@ set counts, so every disconnected graph has one.  find_clique_cutset
 returns a trimmed split (A, K, B): A is a full component of the removal,
 K = N(A) is exactly A's neighborhood, and B is everything else.  Among
 all candidates the one with the smallest A is chosen (ties broken by
-lexicographic node order).  Minimizing |A| guarantees that the block
-G[A + K] has no clique cutset of its own, which keeps the decomposition
-tree a caterpillar with at most n leaves.
+lexicographic node order).  When K is nonempty, minimizing |A|
+guarantees that the block G[A + K] has no clique cutset of its own, so
+the first child of such a split is a leaf.  A split with K empty
+separates a disconnected graph, and its first child G[A] may split
+further (two disjoint P3s give a root whose first child is internal), so
+the tree need not be a caterpillar.  It has at most n leaves either way:
+an empty K splits the n nodes between the children, and a nonempty K
+makes a leaf beside a child on n - |A| nodes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .graph import (Graph, bits, cliques, components_masks, graph_json,
-                    induced_subgraph, is_clique_graph, mask_of)
+from .decomp import INTERNAL, DecompNode, DecompTree
+from .graph import (Graph, bits, cliques, components_masks, induced_subgraph,
+                    is_clique_graph, mask_of)
 
 
 @dataclass(frozen=True)
@@ -71,8 +77,7 @@ def find_clique_cutset(g: Graph) -> Optional[CliqueSplit]:
     Disconnected graphs yield K = empty set with A the component holding
     node 0.  Otherwise A is the smallest component over all clique
     cutsets (lexicographically smallest on ties) and K is trimmed to
-    N(A); the minimal choice makes the block G[A + K] cutset-free, which
-    caps the decomposition tree at n leaves.
+    N(A); the minimal choice makes the block G[A + K] cutset-free.
     """
     if g.n <= 1:
         return None
@@ -114,82 +119,32 @@ def blocks_of_clique_split(g: Graph, s: CliqueSplit) -> tuple[tuple[Graph, tuple
     return ga, gb
 
 
-@dataclass
-class CliqueDecompNode:
-    graph: Graph
-    origin: tuple[int, ...]  # node id -> root graph id
-    split: Optional[CliqueSplit] = None
-    children: tuple["CliqueDecompNode", ...] = ()
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.split is None
+def _dot_label(node: DecompNode) -> str:
+    if node.is_leaf:
+        return f"leaf n={node.graph.n}"
+    k = ",".join(str(v) for v in sorted(node.split.K))
+    return f"n={node.graph.n} K={{{k}}}"
 
 
-@dataclass
-class CliqueDecompTree:
-    root: CliqueDecompNode
-    leaves: list[CliqueDecompNode] = field(default_factory=list)
-
-    @property
-    def leaf_count(self) -> int:
-        return len(self.leaves)
-
-    def to_json(self) -> dict:
-        def node_json(node: CliqueDecompNode) -> dict:
-            out = {
-                **graph_json(node.graph),
-                "origin": list(node.origin),
-                "kind": "leaf" if node.is_leaf else "internal",
-            }
-            if node.split is not None:
-                out["split"] = node.split.to_json()
-                out["children"] = [node_json(c) for c in node.children]
-            return out
-
-        return {"tree": "clique-cutset", "root": node_json(self.root)}
-
-    def to_dot(self) -> str:
-        lines = ["graph clique_decomposition {", '  node [shape=box];']
-        counter = [0]
-
-        def walk(node: CliqueDecompNode) -> int:
-            idx = counter[0]
-            counter[0] += 1
-            if node.is_leaf:
-                label = f"leaf n={node.graph.n}"
-            else:
-                k = ",".join(str(v) for v in sorted(node.split.K))
-                label = f"n={node.graph.n} K={{{k}}}"
-            lines.append(f'  v{idx} [label="{label}"];')
-            for child in node.children:
-                cidx = walk(child)
-                lines.append(f"  v{idx} -- v{cidx};")
-            return idx
-
-        walk(self.root)
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
-
-def clique_decomposition_tree(g: Graph) -> CliqueDecompTree:
+def clique_decomposition_tree(g: Graph) -> DecompTree:
     """Decompose g along clique cutsets until no block has one.
 
     Every leaf satisfies find_clique_cutset(leaf) is None and the tree
     has at most n leaves.
     """
-    leaves: list[CliqueDecompNode] = []
+    leaves: list[DecompNode] = []
 
-    def build(graph: Graph, origin: tuple[int, ...]) -> CliqueDecompNode:
+    def build(graph: Graph, origin: tuple[int, ...]) -> DecompNode:
         split = find_clique_cutset(graph)
         if split is None:
-            node = CliqueDecompNode(graph, origin)
+            node = DecompNode(graph, "leaf", origin=origin)
             leaves.append(node)
             return node
         (ga, map_a), (gb, map_b) = blocks_of_clique_split(graph, split)
         child_a = build(ga, tuple(origin[v] for v in map_a))
         child_b = build(gb, tuple(origin[v] for v in map_b))
-        return CliqueDecompNode(graph, origin, split, (child_a, child_b))
+        return DecompNode(graph, INTERNAL, split, (child_a, child_b), origin)
 
     root = build(g, tuple(range(g.n)))
-    return CliqueDecompTree(root, leaves)
+    return DecompTree(root, leaves, {"tree": "clique-cutset"},
+                      "clique_decomposition", _dot_label)

@@ -20,12 +20,11 @@ from typing import Callable, Optional
 
 from .basic import (BasicVerdict, ONLY_PYRAMID_BASIC, classify_basic,
                     is_lg_tf_chordless)
-from .cutset import (CliqueDecompNode, CliqueDecompTree,
-                     clique_decomposition_tree)
+from .cutset import clique_decomposition_tree
+from .decomp import DecompNode, DecompTree
 from .graph import Graph, graph_json, is_clique_graph, is_hole_graph
 from .oracle import ConfigWitness, contains_config
-from .twojoin import (LEAF_NON_CONSISTENT, TwoJoinDecompTree,
-                      two_join_decomposition_tree)
+from .twojoin import LEAF_NON_CONSISTENT, two_join_decomposition_tree
 
 EXCLUDED_SETS = {
     "only-prism": ("theta", "wheel", "pyramid"),
@@ -44,7 +43,7 @@ class LeafReport:
     origin: tuple[int, ...]
     accepted: bool
     basic: Optional[BasicVerdict] = None
-    twojoin_tree: Optional[TwoJoinDecompTree] = None
+    twojoin_tree: Optional[DecompTree] = None
     terminal_verdicts: list[BasicVerdict] = field(default_factory=list)
 
     def to_json(self) -> dict:
@@ -81,7 +80,7 @@ class Rejection:
 class RecognitionReport:
     class_name: str
     verdict: bool
-    clique_tree: CliqueDecompTree
+    clique_tree: DecompTree
     leaves: list[LeafReport]
     rejection: Optional[Rejection] = None
 
@@ -96,7 +95,7 @@ class RecognitionReport:
 
 
 def _recognize(class_name: str, g: Graph, witness_cap: Optional[int],
-               certify: Callable[[CliqueDecompNode], tuple]) -> RecognitionReport:
+               certify: Callable[[DecompNode], tuple]) -> RecognitionReport:
     """Run certify on every clique-tree leaf.  certify returns the leaf's
     report and, for a failing leaf, (reason, offending graph, failed
     consistency condition); the first failure rejects g."""
@@ -117,7 +116,7 @@ def _recognize(class_name: str, g: Graph, witness_cap: Optional[int],
                              rejection)
 
 
-def _certify_lg_tf_chordless(node: CliqueDecompNode):
+def _certify_lg_tf_chordless(node: DecompNode):
     root = is_lg_tf_chordless(node.graph)
     if root is not None:
         basic = BasicVerdict("lg-tf-chordless", root)
@@ -127,7 +126,7 @@ def _certify_lg_tf_chordless(node: CliqueDecompNode):
              node.graph, None))
 
 
-def _certify_2join_leaves(node: CliqueDecompNode):
+def _certify_2join_leaves(node: DecompNode):
     tj = two_join_decomposition_tree(node.graph)
     verdicts = []
     failure = None
@@ -146,7 +145,7 @@ def _certify_2join_leaves(node: CliqueDecompNode):
     return leaf, failure
 
 
-def _certify_clique_or_hole(node: CliqueDecompNode):
+def _certify_clique_or_hole(node: DecompNode):
     if is_clique_graph(node.graph) or is_hole_graph(node.graph):
         return LeafReport(node.graph, node.origin, True,
                           classify_basic(node.graph)), None

@@ -16,12 +16,13 @@ three-node marker path; composition is the inverse operation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .graph import (Graph, bits, components_masks, graph_json,
-                    induced_subgraph, is_clique_graph, is_clique_mask,
-                    is_hole_graph, mask_of, path_order, reach)
+from .decomp import INTERNAL, DecompNode, DecompTree
+from .graph import (Graph, bits, components_masks, induced_subgraph,
+                    is_clique_graph, is_clique_mask, is_hole_graph, mask_of,
+                    path_order, reach)
 
 MARKER_TAGS = ("marker-a", "marker-c", "marker-b")
 
@@ -478,90 +479,38 @@ def compose_2join(g1: Graph, g2: Graph) -> Graph:
 
 LEAF_NO_2JOIN = "no-2join"
 LEAF_NON_CONSISTENT = "non-consistent-2join"
-INTERNAL = "internal"
 
 
-@dataclass
-class TwoJoinDecompNode:
-    graph: Graph
-    kind: str
-    split: Optional[TwoJoinSplit] = None
-    failed_condition: Optional[int] = None
-    children: tuple["TwoJoinDecompNode", ...] = ()
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.kind != INTERNAL
+def _dot_label(node: DecompNode) -> str:
+    return f"n={node.graph.n} {node.kind}"
 
 
-@dataclass
-class TwoJoinDecompTree:
-    root: TwoJoinDecompNode
-    leaves: list[TwoJoinDecompNode] = field(default_factory=list)
-    calls: int = 0
-
-    def to_json(self) -> dict:
-        def node_json(node: TwoJoinDecompNode) -> dict:
-            out = {
-                **graph_json(node.graph),
-                "kind": node.kind,
-            }
-            if node.split is not None:
-                out["split"] = node.split.to_json()
-            if node.failed_condition is not None:
-                out["failed_condition"] = node.failed_condition
-            if node.children:
-                out["children"] = [node_json(c) for c in node.children]
-            return out
-
-        return {"tree": "consistent-2join", "calls": self.calls,
-                "root": node_json(self.root)}
-
-    def to_dot(self) -> str:
-        lines = ["graph twojoin_decomposition {", "  node [shape=box];"]
-        counter = [0]
-
-        def walk(node: TwoJoinDecompNode) -> int:
-            idx = counter[0]
-            counter[0] += 1
-            label = f"n={node.graph.n} {node.kind}"
-            lines.append(f'  v{idx} [label="{label}"];')
-            for child in node.children:
-                cidx = walk(child)
-                lines.append(f"  v{idx} -- v{cidx};")
-            return idx
-
-        walk(self.root)
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
-
-def two_join_decomposition_tree(g: Graph) -> TwoJoinDecompTree:
+def two_join_decomposition_tree(g: Graph) -> DecompTree:
     """Decompose along consistent 2-joins; leaves either have no 2-join
     or carry a non-consistent one (flagged as such).
 
-    The total number of recursive calls is recorded; it stays within
-    2n - 13 for inputs with at least 7 nodes because consistent 2-joins
-    have both sides of size at least 4.
+    Each recursive call makes one node of a full binary tree, so the
+    tree makes 2 * leaves - 1 calls; that stays within 2n - 13 for inputs
+    with at least 7 nodes because consistent 2-joins have both sides of
+    size at least 4.
     """
-    counter = [0]
-    leaves: list[TwoJoinDecompNode] = []
+    leaves: list[DecompNode] = []
 
-    def build(graph: Graph) -> TwoJoinDecompNode:
-        counter[0] += 1
+    def build(graph: Graph) -> DecompNode:
         split = find_2join(graph)
         if split is None:
-            node = TwoJoinDecompNode(graph, LEAF_NO_2JOIN)
+            node = DecompNode(graph, LEAF_NO_2JOIN)
             leaves.append(node)
             return node
         ok, idx = is_consistent(graph, split)
         if not ok:
-            node = TwoJoinDecompNode(graph, LEAF_NON_CONSISTENT, split, idx)
+            node = DecompNode(graph, LEAF_NON_CONSISTENT, split,
+                              failed_condition=idx)
             leaves.append(node)
             return node
         (b1, _map1), (b2, _map2) = blocks_of_2join(graph, split)
-        children = (build(b1), build(b2))
-        return TwoJoinDecompNode(graph, INTERNAL, split, None, children)
+        return DecompNode(graph, INTERNAL, split, (build(b1), build(b2)))
 
     root = build(g)
-    return TwoJoinDecompTree(root, leaves, counter[0])
+    head = {"tree": "consistent-2join", "calls": 2 * len(leaves) - 1}
+    return DecompTree(root, leaves, head, "twojoin_decomposition", _dot_label)

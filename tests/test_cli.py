@@ -7,7 +7,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from truemper.cli import main
-from truemper.gen import make_pyramid
+from truemper.gen import make_pyramid, plant_configuration
 from truemper.graph import Graph, write_graph_file
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -97,6 +97,27 @@ class TestRecognizeCommand:
         assert main(["recognize", "only-prism", path, "--witness"]) == 2
         assert "error: TRUEMPER_ORACLE_CAP must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raw", ["-1", "1_5", "abc"])
+    def test_malformed_cap_flag_exits_two(self, workdir, capsys, raw):
+        path = write_graph(workdir, "w4.graph", W4)
+        assert main(["recognize", "only-prism", path, "--witness",
+                     "--cap", raw]) == 2
+        assert "error: --cap must be" in capsys.readouterr().err
+
+    def test_unwritable_json_exits_two(self, workdir, capsys):
+        path = write_graph(workdir, "w4.graph", W4)
+        out = workdir / "missing" / "report.json"
+        assert main(["recognize", "only-prism", path, "--json", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_witness_above_cap_says_why(self, workdir, capsys, monkeypatch):
+        monkeypatch.delenv("TRUEMPER_ORACLE_CAP", raising=False)
+        path = write_graph(workdir, "theta.graph",
+                           plant_configuration(1, "theta", 20))
+        assert main(["recognize", "only-pyramid", path, "--witness"]) == 1
+        assert ("  witness: none (offending graph has 20 nodes, above the "
+                "oracle cap 14)\n") in capsys.readouterr().out
+
 
 class TestDecomposeCommand:
     def test_clique_mode_on_chordal(self, workdir, capsys):
@@ -145,6 +166,13 @@ class TestDecomposeCommand:
         data = json.loads(out.read_text())
         assert data["root"]["kind"] == "internal"
         assert "graph twojoin_decomposition" in dot.read_text()
+
+
+    def test_unwritable_dot_exits_two(self, workdir, capsys):
+        path = write_graph(workdir, "w4.graph", W4)
+        out = workdir / "missing" / "tree.dot"
+        assert main(["decompose", "clique", path, "--dot", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestGenerateCommand:
@@ -223,6 +251,14 @@ class TestGenerateCommand:
         assert not (workdir / "out").exists()
 
 
+    def test_out_is_a_file_exits_two(self, workdir, capsys):
+        out = workdir / "taken"
+        out.write_text("")
+        assert main(["generate", "only-prism", "--seed", "1", "--size", "5",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestOracleCommand:
     def test_theta_witness_printed(self, workdir, capsys):
         path = write_graph(workdir, "k23.graph", K23)
@@ -267,3 +303,15 @@ class TestOracleCommand:
         for kind, witness in data.items():
             if witness is not None:
                 validator.validate(witness)
+
+    @pytest.mark.parametrize("raw", ["-1", "1_5", "abc"])
+    def test_malformed_cap_flag_exits_two(self, workdir, capsys, raw):
+        path = write_graph(workdir, "k23.graph", K23)
+        assert main(["oracle", path, "--cap", raw]) == 2
+        assert "error: --cap must be" in capsys.readouterr().err
+
+    def test_unwritable_json_exits_two(self, workdir, capsys):
+        path = write_graph(workdir, "k23.graph", K23)
+        out = workdir / "missing" / "witness.json"
+        assert main(["oracle", path, "--json", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")

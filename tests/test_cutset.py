@@ -132,6 +132,29 @@ class TestDecompositionTree:
             sub, idmap = induced_subgraph(g, leaf.origin)
             assert sub == leaf.graph
 
+    def test_nonempty_cutset_splits_off_a_leaf(self):
+        # minimal |A| makes G[A + K] cutset-free when K is nonempty
+        rng = random.Random(14)
+        splits = 0
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(2, 10), rng.choice([0.2, 0.5, 0.8]))
+            stack = [clique_decomposition_tree(g).root]
+            while stack:
+                node = stack.pop()
+                stack.extend(node.children)
+                if node.children and node.split.K:
+                    splits += 1
+                    assert node.children[0].is_leaf
+        assert splits > 100
+
+    def test_empty_cutset_child_may_split_again(self):
+        # so the tree is not always a caterpillar
+        two_p3 = Graph.from_edge_list(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+        root = clique_decomposition_tree(two_p3).root
+        assert root.split == CliqueSplit(frozenset({0, 1, 2}), frozenset(),
+                                         frozenset({3, 4, 5}))
+        assert not root.children[0].is_leaf
+
     def test_json_and_dot_render(self):
         tree = clique_decomposition_tree(BOWTIE)
         data = tree.to_json()

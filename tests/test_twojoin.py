@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +8,7 @@ from truemper.cutset import find_clique_cutset
 from truemper.gen import _marker_candidates, _tag_markers, make_pyramid
 from truemper.graph import Graph, bits, mask_of
 from truemper.oracle import scan_configs
+from truemper.recognize import recognize_only_pyramid
 from truemper.twojoin import (CONSISTENCY_CONDITIONS, TwoJoinSplit,
                               _all_reach_avoiding,
                               all_2joins_brute, all_almost_2joins_brute,
@@ -470,3 +473,70 @@ class TestDecompositionTree:
         data = tree.to_json()
         assert data["root"]["kind"] == "no-2join"
         assert data["tree"] == "consistent-2join"
+
+
+# The smallest hits of a search over seeded G(n, p): rng = random.Random(seed),
+# n = rng.randint(6, 9), p = rng.choice([0.3, 0.4, 0.5, 0.6, 0.7]), then
+# random_graph(rng, n, p).  Each graph's 2-join tree has a non-consistent
+# leaf that fails the keyed condition.
+NON_CONSISTENT_LEAF = {
+    1: (6, [(0, 1), (0, 5), (1, 4), (4, 5)]),
+    2: (6, [(0, 1), (0, 3), (0, 5), (1, 2), (1, 4), (1, 5), (2, 3), (2, 4)]),
+    3: (6, [(0, 1), (0, 3), (1, 2), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5),
+            (4, 5)]),
+    4: (8, [(0, 3), (0, 6), (0, 7), (1, 2), (1, 5), (1, 7), (2, 5), (2, 6),
+            (3, 4), (3, 5), (4, 6), (4, 7)]),
+    5: (8, [(0, 4), (0, 5), (0, 6), (1, 2), (1, 4), (1, 5), (1, 7), (2, 3),
+            (2, 4), (3, 6), (3, 7), (4, 7), (5, 6)]),
+    6: (8, [(0, 4), (1, 5), (1, 6), (2, 4), (2, 6), (2, 7), (3, 5), (3, 7),
+            (4, 5)]),
+    7: (8, [(0, 5), (0, 7), (1, 2), (1, 4), (2, 6), (3, 6), (4, 7), (5, 6),
+            (5, 7)]),
+    8: (8, [(0, 2), (0, 3), (1, 4), (1, 6), (2, 7), (3, 4), (4, 6), (5, 7),
+            (6, 7)]),
+}
+
+# From the same search: graphs with no clique cutset that only-pyramid
+# rejects for a non-consistent 2-join failing the keyed condition.
+NON_CONSISTENT_REJECT = {
+    1: (6, [(0, 2), (0, 4), (0, 5), (1, 2), (1, 5), (2, 3), (3, 4), (3, 5)]),
+    2: (6, [(0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5)]),
+    3: (7, [(0, 2), (0, 3), (0, 4), (0, 5), (1, 3), (1, 5), (1, 6), (2, 3),
+            (2, 4), (4, 6)]),
+    4: NON_CONSISTENT_LEAF[4],
+    5: NON_CONSISTENT_LEAF[5],
+    6: (8, [(0, 4), (0, 5), (1, 2), (1, 4), (2, 5), (2, 6), (2, 7), (3, 4),
+            (3, 6), (4, 7)]),
+}
+
+
+def twojoin_tree_validator():
+    jsonschema = pytest.importorskip("jsonschema")
+    path = (Path(__file__).resolve().parent.parent / "docs" / "schemas"
+            / "twojoin-tree.schema.json")
+    return jsonschema.Draft202012Validator(json.loads(path.read_text()))
+
+
+class TestNonConsistentLeaf:
+    @pytest.mark.parametrize("cond", sorted(NON_CONSISTENT_LEAF))
+    def test_leaf_names_failed_condition(self, cond):
+        g = Graph.from_edge_list(*NON_CONSISTENT_LEAF[cond])
+        tree = two_join_decomposition_tree(g)
+        hits = [leaf for leaf in tree.leaves
+                if leaf.kind == "non-consistent-2join"
+                and leaf.failed_condition == cond]
+        assert hits
+        for leaf in hits:
+            assert leaf.is_leaf
+            assert validate_split(leaf.graph, leaf.split, "full")
+            assert is_consistent(leaf.graph, leaf.split) == (False, cond)
+        twojoin_tree_validator().validate(tree.to_json())
+
+    @pytest.mark.parametrize("cond", sorted(NON_CONSISTENT_REJECT))
+    def test_only_pyramid_rejects_with_condition(self, cond):
+        g = Graph.from_edge_list(*NON_CONSISTENT_REJECT[cond])
+        assert find_clique_cutset(g) is None
+        report = recognize_only_pyramid(g)
+        assert not report.verdict
+        assert report.rejection.reason == "leaf carries a non-consistent 2-join"
+        assert report.rejection.failed_condition == cond
