@@ -1,11 +1,16 @@
 """Recognizers and constructors for the basic graph classes.
 
 The basic classes are cliques, holes, long pyramids, pyramid-basic
-graphs, and line graphs of triangle-free chordless graphs.  Root graphs
-are recovered through a Krausz clique partition (each edge covered by
-exactly one clique, each node in at most two), which is simple and exact
-at this scale; triangle components of the root are canonicalized to
-claws since both have the same line graph.
+graphs, and line graphs of triangle-free chordless graphs.  A root graph
+R with L(R) = g comes from a Krausz clique partition of g (each edge
+covered by exactly one clique, each node in at most two).  On a claw-free,
+diamond-free g that partition is read off directly: it is the set of
+maximal cliques, {u, v} plus the common neighbours of u and v for each
+edge uv.  That covers every internal caller, since a line graph of a
+triangle-free graph (and so of a tree) has no diamond; only root_graph on
+an input with a diamond runs the backtracking search.  Triangle
+components of the root are canonicalized to claws since both have the
+same line graph.
 """
 
 from __future__ import annotations
@@ -28,22 +33,44 @@ Edge = tuple[int, int]
 def line_graph(r: Graph) -> Graph:
     """The line graph of r; node i of the result is edge i of r (lex order)."""
     edges = r.edges()
-    k = len(edges)
-    rows = [0] * k
+    incident = [0] * r.n
     for i, (u, v) in enumerate(edges):
-        for j in range(i + 1, k):
-            a, b = edges[j]
-            if a in (u, v) or b in (u, v):
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph(k, rows)
+        incident[u] |= 1 << i
+        incident[v] |= 1 << i
+    rows = [(incident[u] | incident[v]) & ~(1 << i) for i, (u, v) in enumerate(edges)]
+    return Graph.derived(len(edges), rows)
+
+
+def _maximal_cliques(g: Graph) -> list[frozenset[int]]:
+    """The Krausz partition of a claw-free, diamond-free graph: its
+    maximal cliques {u, v} + (N(u) & N(v)), in order of first edge.
+
+    Two non-adjacent common neighbours of an edge uv would close a
+    diamond, so every edge lies in exactly one maximal clique; a node in
+    three of them would centre a claw.  So these cliques partition the
+    edges with every node in at most two, and they are the partition
+    that _krausz_partition finds first (it covers the first uncovered
+    edge by its largest clique and never backtracks on such a graph).
+    """
+    adj = g._adj
+    covered = [0] * g.n
+    out = []
+    for u in range(g.n):
+        todo = adj[u] & ~covered[u] & -1 << (u + 1)
+        while todo:
+            v = (todo & -todo).bit_length() - 1
+            clique = (1 << u) | (1 << v) | (adj[u] & adj[v])
+            nodes = bits(clique)
+            out.append(frozenset(nodes))
+            for w in nodes:
+                covered[w] |= clique
+            todo &= ~clique
+    return out
 
 
 def _krausz_partition(g: Graph) -> Optional[list[frozenset[int]]]:
     """Partition of the edges of g into cliques with every node in at
     most two of them, or None if impossible (g is not a line graph)."""
-    if find_claw(g) is not None:
-        return None  # line graphs are claw-free; prunes hopeless searches
     edges = g.edges()
     edge_index = {e: i for i, e in enumerate(edges)}
     uncovered = set(range(len(edges)))
@@ -96,11 +123,9 @@ def _krausz_partition(g: Graph) -> Optional[list[frozenset[int]]]:
     return chosen
 
 
-def _root_with_edge_map(g: Graph) -> Optional[tuple[Graph, list[Edge]]]:
-    """Root graph plus the map g-node -> root edge, or None."""
-    part = _krausz_partition(g)
-    if part is None:
-        return None
+def _root_with_edge_map(g: Graph, part: list[frozenset[int]]) -> tuple[Graph, list[Edge]]:
+    """Root graph of a Krausz partition of g, plus the map g-node -> root
+    edge."""
     clique_of: list[list[int]] = [[] for _ in range(g.n)]
     for ci, clique in enumerate(part):
         for v in clique:
@@ -158,21 +183,32 @@ def _canonicalize_triangles(root: Graph, edge_of: list[Edge]) -> tuple[Graph, li
 def root_graph(g: Graph) -> Optional[Graph]:
     """Some graph R with L(R) isomorphic to g, or None if g is not a
     line graph.  Triangle components of R are canonicalized to claws."""
-    res = _root_with_edge_map(g)
-    return None if res is None else res[0]
+    if find_claw(g) is not None:
+        return None  # line graphs are claw-free
+    if find_diamond(g) is None:
+        part = _maximal_cliques(g)
+    else:
+        part = _krausz_partition(g)
+        if part is None:
+            return None
+    return _root_with_edge_map(g, part)[0]
 
 
 def is_chordless_graph(r: Graph) -> bool:
     """True iff every cycle of r is chordless.
 
     An edge uv is a chord of some cycle exactly when u and v still share
-    a 2-connected block after the edge itself is removed.
+    a 2-connected block after the edge itself is removed.  Both ends of a
+    chord lie on its cycle, so both have degree at least 3.
     """
+    adj = r._adj
     for u, v in r.edges():
-        rows = list(r._adj)
+        if adj[u].bit_count() < 3 or adj[v].bit_count() < 3:
+            continue
+        rows = list(adj)
         rows[u] &= ~(1 << v)
         rows[v] &= ~(1 << u)
-        stripped = Graph(r.n, rows)
+        stripped = Graph.derived(r.n, rows)
         for block in biconnected_blocks(stripped):
             nodes = set()
             for a, b in block:
@@ -190,9 +226,7 @@ def is_lg_tf_chordless(g: Graph) -> Optional[Graph]:
     # free line graphs, so an induced claw or diamond settles it early
     if find_claw(g) is not None or find_diamond(g) is not None:
         return None
-    root = root_graph(g)
-    if root is None:
-        return None
+    root = _root_with_edge_map(g, _maximal_cliques(g))[0]
     if not is_triangle_free(root):
         return None
     if not is_chordless_graph(root):
@@ -366,10 +400,10 @@ def _pyramid_basic_via(g: Graph, x: int, y: int) -> Optional[LabeledSafeTree]:
     h, h_map = induced_subgraph(g, rest)
     if not is_connected(h):
         return None
-    res = _root_with_edge_map(h)
-    if res is None:
+    # a tree root leaves h diamond-free, so h needs no Krausz search
+    if find_claw(h) is not None or find_diamond(h) is not None:
         return None
-    root, edge_of = res
+    root, edge_of = _root_with_edge_map(h, _maximal_cliques(h))
     if not is_tree_graph(root):
         return None
     pend = set(pendant_edges(root))

@@ -197,7 +197,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    kinds = tuple(args.kinds.split(",")) if args.kinds else KINDS
+    # an empty --kinds names the unknown kind "" rather than all of them;
+    # a kind named twice is scanned and printed once
+    kinds = KINDS if args.kinds is None else tuple(dict.fromkeys(args.kinds.split(",")))
     try:
         found = scan_configs(g, kinds, cap=cap)
     except (OracleScaleError, ValueError) as exc:

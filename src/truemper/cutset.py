@@ -89,24 +89,23 @@ def find_clique_cutset(g: Graph) -> Optional[CliqueSplit]:
                            frozenset(bits(b_mask)))
     if is_clique_graph(g):
         return None
-    best: Optional[tuple[int, list[int], int]] = None
-    seen_comps: set[int] = set()
+    # the smallest A by size, then by sorted node list: of two node sets
+    # of one size, the smaller list holds the lowest node of a ^ b
+    a_mask = 0
+    a_size = g.n + 1
     for comp in _component_candidates(g):
-        if comp in seen_comps:
-            continue
-        seen_comps.add(comp)
-        key = (comp.bit_count(), bits(comp))
-        if best is None or key < (best[0], best[1]):
-            best = (key[0], key[1], comp)
-    if best is None:
+        size = comp.bit_count()
+        diff = comp ^ a_mask
+        if size < a_size or (size == a_size and comp & diff & -diff):
+            a_mask, a_size = comp, size
+    if not a_mask:
         return None
-    comp = best[2]
     nbhd = 0
-    for v in bits(comp):
+    for v in bits(a_mask):
         nbhd |= g.adj_mask(v)
-    k_mask = nbhd & ~comp
-    b_mask = g.full_mask() & ~comp & ~k_mask
-    return CliqueSplit(frozenset(bits(comp)), frozenset(bits(k_mask)),
+    k_mask = nbhd & ~a_mask
+    b_mask = g.full_mask() & ~a_mask & ~k_mask
+    return CliqueSplit(frozenset(bits(a_mask)), frozenset(bits(k_mask)),
                        frozenset(bits(b_mask)))
 
 

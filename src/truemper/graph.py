@@ -5,11 +5,19 @@ neighbor); neighbor tuples are derived from them on demand.  All
 operations are pure functions; edits return new graphs.  Iteration order
 is ascending node id everywhere, so every "first found" answer is
 reproducible.
+
+Graphs are built two ways.  The validated constructor Graph(n, rows,
+tags) takes outside input and checks everything: size, row count, loops,
+range and symmetry.  Graph.derived(n, rows, tags) trusts its rows and
+checks only the tags; it builds the graphs computed from a validated one
+(induced subgraphs, line graphs, 2-join blocks and compositions), and
+Graph.from_edge_list uses it once its own edge checks have passed.
+Untagged graphs of one size share one all-None tags tuple.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 MAX_NODES = 4096
@@ -48,11 +56,22 @@ class Graph:
                 w ^= b
         self.n = n
         self._adj = tuple(adj_masks)
-        self.tags = tuple(tags) if tags is not None else tuple(None for _ in range(n))
-        if len(self.tags) != n:
-            raise ValueError("tags length must equal node count")
+        self.tags = _tags_of(n, tags)
 
     # -- construction ----------------------------------------------------
+
+    @staticmethod
+    def derived(n: int, adj_masks: Sequence[int],
+                tags: Optional[Sequence[Optional[str]]] = None) -> "Graph":
+        """Internal constructor for a graph computed from a validated one
+        (induced subgraphs, line graphs, blocks, compositions): the rows
+        must already be symmetric, loop-free and in range, so only the
+        tags are checked."""
+        g = object.__new__(Graph)
+        g.n = n
+        g._adj = tuple(adj_masks)
+        g.tags = _tags_of(n, tags)
+        return g
 
     @staticmethod
     def from_edge_list(n: int, edges: Iterable[tuple[int, int]],
@@ -76,7 +95,7 @@ class Graph:
             seen.add(key)
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return Graph(n, rows, tags)
+        return Graph.derived(n, rows, tags)
 
     def with_tags(self, tags: Sequence[Optional[str]]) -> "Graph":
         return Graph(self.n, self._adj, tags)
@@ -124,6 +143,22 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+@lru_cache(maxsize=128)
+def _untagged(n: int) -> tuple[None, ...]:
+    return (None,) * n
+
+
+def _tags_of(n: int, tags: Optional[Sequence[Optional[str]]]) -> tuple[Optional[str], ...]:
+    """The tags as an n-tuple; untagged graphs of one size share one
+    all-None tuple."""
+    if tags is None:
+        return _untagged(n)
+    tags = tuple(tags)
+    if len(tags) != n:
+        raise ValueError("tags length must equal node count")
+    return _untagged(n) if tags.count(None) == n else tags
+
+
 def _bits(mask: int) -> Iterator[int]:
     while mask:
         b = mask & -mask
@@ -148,18 +183,24 @@ def mask_of(nodes: Iterable[int]) -> int:
 def induced_subgraph(g: Graph, nodes: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """Induced subgraph on a node set, plus the map new id -> old id."""
     order = sorted(set(nodes))
-    for v in order:
-        if not 0 <= v < g.n:
-            raise ValueError(f"node {v} not in graph")
+    if order and (order[0] < 0 or order[-1] >= g.n):
+        bad = next(v for v in order if not 0 <= v < g.n)
+        raise ValueError(f"node {bad} not in graph")
+    adj = g._adj
     pos = {v: i for i, v in enumerate(order)}
-    rows = [0] * len(order)
     sel = mask_of(order)
-    for i, v in enumerate(order):
-        row = g.adj_mask(v) & sel
-        for u in _bits(row):
-            rows[i] |= 1 << pos[u]
-    tags = [g.tags[v] for v in order]
-    return Graph(len(order), rows, tags), tuple(order)
+    rows = []
+    for v in order:
+        row = 0
+        w = adj[v] & sel
+        while w:
+            b = w & -w
+            row |= 1 << pos[b.bit_length() - 1]
+            w ^= b
+        rows.append(row)
+    tags = g.tags
+    sub_tags = None if tags.count(None) == g.n else [tags[v] for v in order]
+    return Graph.derived(len(order), rows, sub_tags), tuple(order)
 
 
 # -- connectivity ---------------------------------------------------------
@@ -377,11 +418,10 @@ def hole_order(g: Graph) -> list[int]:
 
 
 def is_triangle_free(g: Graph) -> bool:
+    adj = g._adj
     for u in range(g.n):
-        for v in g.neighbors(u):
-            if v <= u:
-                continue
-            if g.adj_mask(u) & g.adj_mask(v):
+        for v in _bits(adj[u] & -1 << (u + 1)):
+            if adj[u] & adj[v]:
                 return False
     return True
 
@@ -389,32 +429,47 @@ def is_triangle_free(g: Graph) -> bool:
 def find_diamond(g: Graph) -> Optional[frozenset[int]]:
     """Some induced K4-minus-an-edge as a node set, or None.
 
-    Scans non-adjacent pairs for two adjacent common neighbors; first hit
-    in ascending order.
+    Scans non-adjacent pairs u < v for two adjacent common neighbors
+    w1 < w2; the first hit in that lexicographic order.
     """
+    adj = g._adj
+    full = g.full_mask()
     for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.has_edge(u, v):
-                continue
-            common = g.adj_mask(u) & g.adj_mask(v)
-            if common.bit_count() < 2:
-                continue
-            cn = bits(common)
-            for w1, w2 in combinations(cn, 2):
-                if g.has_edge(w1, w2):
-                    return frozenset((u, v, w1, w2))
+        rest = full & ~adj[u] & -1 << (u + 1)
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            common = adj[u] & adj[b.bit_length() - 1]
+            while common & (common - 1):  # at least two common neighbors
+                w1 = common & -common
+                common ^= w1
+                w2s = common & adj[w1.bit_length() - 1]
+                if w2s:
+                    return frozenset((u, b.bit_length() - 1, w1.bit_length() - 1,
+                                      (w2s & -w2s).bit_length() - 1))
     return None
 
 
 def find_claw(g: Graph) -> Optional[frozenset[int]]:
-    """Some induced K_{1,3} as a node set, or None."""
+    """Some induced K_{1,3} as a node set, or None.
+
+    The first center c, then the lexicographically first pairwise
+    non-adjacent leaves t0 < t1 < t2 among its neighbors.
+    """
+    adj = g._adj
     for c in range(g.n):
-        nb = g.neighbors(c)
-        if len(nb) < 3:
-            continue
-        for t in combinations(nb, 3):
-            if not (g.has_edge(t[0], t[1]) or g.has_edge(t[0], t[2]) or g.has_edge(t[1], t[2])):
-                return frozenset((c,) + t)
+        rest = adj[c]
+        while rest & (rest - 1):  # each mask below holds the nodes above
+            t0 = rest & -rest     # its lowest-bit node
+            rest ^= t0
+            c1 = rest & ~adj[t0.bit_length() - 1]
+            while c1 & (c1 - 1):
+                t1 = c1 & -c1
+                c1 ^= t1
+                c2 = c1 & ~adj[t1.bit_length() - 1]
+                if c2:
+                    return frozenset((c, t0.bit_length() - 1, t1.bit_length() - 1,
+                                      (c2 & -c2).bit_length() - 1))
     return None
 
 

@@ -394,10 +394,12 @@ def _one_block(g: Graph, x_set: frozenset[int], a_set: frozenset[int],
     side, origin = induced_subgraph(g, x_set)
     pos = {old: i for i, old in enumerate(origin)}
     ma, mc, mb = side.n, side.n + 1, side.n + 2
-    edges = side.edges() + [(ma, mc), (mc, mb)]
-    edges.extend((pos[v], ma) for v in a_set)
-    edges.extend((pos[v], mb) for v in b_set)
-    block = Graph.from_edge_list(side.n + 3, edges, side.tags + MARKER_TAGS)
+    rows = list(side._adj) + [1 << mc, (1 << ma) | (1 << mb), 1 << mc]
+    for side_set, marker in ((a_set, ma), (b_set, mb)):
+        for v in side_set:
+            rows[pos[v]] |= 1 << marker
+            rows[marker] |= 1 << pos[v]
+    block = Graph.derived(side.n + 3, rows, side.tags + MARKER_TAGS)
     return block, origin + (None, None, None)
 
 
@@ -455,10 +457,15 @@ def compose_2join_with_split(g1: Graph, g2: Graph) -> tuple[Graph, TwoJoinSplit]
     off = h1.n
     pos1 = {old: i for i, old in enumerate(part1)}
     pos2 = {old: off + i for i, old in enumerate(part2)}
-    edges = h1.edges() + [(off + u, off + v) for u, v in h2.edges()]
-    edges.extend((pos1[u], pos2[v]) for u in s1.A1 for v in s2.A1)
-    edges.extend((pos1[u], pos2[v]) for u in s1.B1 for v in s2.B1)
-    composed = Graph.from_edge_list(off + h2.n, edges, h1.tags + h2.tags)
+    rows = list(h1._adj) + [row << off for row in h2._adj]
+    for side1, side2 in ((s1.A1, s2.A1), (s1.B1, s2.B1)):
+        bundle1 = mask_of(pos1[u] for u in side1)
+        bundle2 = mask_of(pos2[v] for v in side2)
+        for u in side1:
+            rows[pos1[u]] |= bundle2
+        for v in side2:
+            rows[pos2[v]] |= bundle1
+    composed = Graph.derived(off + h2.n, rows, h1.tags + h2.tags)
     split = TwoJoinSplit(
         frozenset(range(off)), frozenset(range(off, composed.n)),
         frozenset(pos1[v] for v in s1.A1), frozenset(pos2[v] for v in s2.A1),

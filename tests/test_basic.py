@@ -1,17 +1,37 @@
 import random
+from itertools import combinations
 
 import pytest
 
-from truemper.basic import (LabeledSafeTree, build_pyramid_basic,
+from truemper.basic import (LabeledSafeTree, _krausz_partition,
+                            _root_with_edge_map, build_pyramid_basic,
                             classify_basic, is_chordless_graph,
                             is_lg_tf_chordless, is_pyramid_basic,
                             is_safe_tree, line_graph, pendant_siblings,
                             root_graph)
 from truemper.gen import make_pyramid, random_tf_chordless
-from truemper.graph import Graph, find_claw, find_diamond, is_triangle_free
+from truemper.graph import (Graph, components_masks, find_claw, find_diamond,
+                            is_triangle_free)
 from truemper.oracle import contains_config, scan_configs
 
-from util import all_graphs, is_isomorphic, random_graph
+from util import (all_graphs, assert_revalidates, gnp_graphs, is_isomorphic,
+                  random_graph, reference_is_chordless_graph,
+                  reference_is_lg_tf_chordless, reference_root_graph,
+                  tf_chordless_line_graphs)
+
+
+def small_graphs():
+    for n in range(7):
+        yield from all_graphs(n)
+
+
+def reference_corpus():
+    """Every graph with n <= 6, seeded G(n, p) with n = 7..12 and line
+    graphs of random triangle-free chordless graphs."""
+    yield from small_graphs()
+    yield from gnp_graphs(61, 200)
+    yield from tf_chordless_line_graphs(40)
+
 
 CLAW = Graph.from_edge_list(4, [(0, 1), (0, 2), (0, 3)])
 K3 = Graph.from_edge_list(3, [(0, 1), (0, 2), (1, 2)])
@@ -41,6 +61,15 @@ class TestLineGraph:
     def test_triangle_and_claw_share_line_graph(self):
         assert is_isomorphic(line_graph(K3), line_graph(CLAW))
 
+    def test_matches_pairwise_construction(self):
+        for r in list(gnp_graphs(62, 100, 0, 10)) + [random_tf_chordless(s, 15) for s in range(10)]:
+            lg = line_graph(r)
+            assert_revalidates(lg)
+            edges = r.edges()
+            assert lg.n == len(edges)
+            for (i, e), (j, f) in combinations(enumerate(edges), 2):
+                assert lg.has_edge(i, j) == bool(set(e) & set(f))
+
 
 class TestRootGraph:
     def test_triangle_canonicalizes_to_claw(self):
@@ -69,6 +98,24 @@ class TestRootGraph:
             r = root_graph(lg)
             assert r is not None
             assert is_isomorphic(line_graph(r), lg)
+
+    def test_matches_the_krausz_search(self):
+        rng = random.Random(63)
+        line_graphs = [line_graph(random_graph(rng, rng.randint(2, 8), 0.5))
+                       for _ in range(60)]
+        for g in list(reference_corpus()) + line_graphs:
+            assert root_graph(g) == reference_root_graph(g), g.edges()
+
+    def test_diamond_rules_out_a_tree_root(self):
+        # pyramid-basic recognition refuses G - {x, y} with a diamond
+        # without a root search: no Krausz root of it is a tree
+        for g in small_graphs():
+            if find_diamond(g) is None:
+                continue
+            part = _krausz_partition(g)
+            if part is not None:
+                root = _root_with_edge_map(g, part)[0]
+                assert root.m != root.n - 1 or len(components_masks(root)) > 1
 
     def test_non_line_graphs_refused(self):
         # wheels with 5-rims are not line graphs (their hub edges cannot
@@ -121,6 +168,14 @@ class TestChordless:
         for _ in range(60):
             g = random_graph(rng, rng.randint(3, 8), 0.3)
             assert is_chordless_graph(g) == brute(g), g.edges()
+        for g in small_graphs():
+            assert is_chordless_graph(g) == brute(g), g.edges()
+
+    def test_matches_per_edge_reference(self):
+        corpus = list(reference_corpus())
+        corpus += [random_tf_chordless(seed, 5 + seed % 30) for seed in range(60)]
+        for g in corpus:
+            assert is_chordless_graph(g) == reference_is_chordless_graph(g), g.edges()
 
 
 class TestLgTfChordless:
@@ -136,6 +191,10 @@ class TestLgTfChordless:
         w5 = Graph.from_edge_list(6, [(i, (i + 1) % 5) for i in range(5)]
                                   + [(5, i) for i in range(5)])
         assert is_lg_tf_chordless(w5) is None
+
+    def test_matches_the_krausz_reference(self):
+        for g in reference_corpus():
+            assert is_lg_tf_chordless(g) == reference_is_lg_tf_chordless(g), g.edges()
 
     def test_three_way_equivalence_small(self):
         # (wheel, diamond)-free line graph == line graph of a

@@ -267,6 +267,19 @@ class TestOracleCommand:
         assert code == 1
         assert '"kind": "theta"' in out
 
+    def test_empty_kinds_is_an_input_error(self, workdir, capsys):
+        path = write_graph(workdir, "k23.graph", K23)
+        assert main(["oracle", path, "--kinds", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
+    def test_repeated_kind_printed_once(self, workdir, capsys):
+        path = write_graph(workdir, "k23.graph", K23)
+        assert main(["oracle", path, "--kinds", "theta,theta"]) == 1
+        out = capsys.readouterr().out
+        assert out.count("theta:") == 1
+
     def test_hole_is_clean(self, workdir, capsys):
         path = write_graph(workdir, "c7.graph", C7)
         assert main(["oracle", path]) == 0

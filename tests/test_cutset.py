@@ -9,7 +9,8 @@ from truemper.cutset import (CliqueSplit, blocks_of_clique_split,
 from truemper.graph import Graph, components_masks, induced_subgraph, mask_of
 from truemper.oracle import has_star_cutset, scan_configs
 
-from util import (all_graphs, perfect_elimination_chordal, random_graph)
+from util import (all_graphs, assert_revalidates, gnp_graphs,
+                  perfect_elimination_chordal, random_graph)
 
 DIAMOND = Graph.from_edge_list(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
 C5 = Graph.from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
@@ -29,6 +30,45 @@ def brute_has_clique_cutset(g):
             if len(components_masks(g, rest)) >= 2:
                 return True
     return False
+
+
+def brute_components(g, within):
+    """Components of G[within] as sorted node lists, by plain search."""
+    todo = set(within)
+    out = []
+    while todo:
+        comp = {min(todo)}
+        stack = [min(todo)]
+        while stack:
+            v = stack.pop()
+            for w in g.neighbors(v):
+                if w in todo and w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        todo -= comp
+        out.append(sorted(comp))
+    return out
+
+
+def brute_smallest_a(g):
+    """The A that find_clique_cutset promises: node 0's component of a
+    disconnected graph, else the smallest component of G - K over all
+    clique cutsets K, by size and then by sorted node list."""
+    comps = brute_components(g, range(g.n))
+    if len(comps) >= 2:
+        return comps[0]
+    best = None
+    for size in range(1, g.n - 1):
+        for k in combinations(range(g.n), size):
+            if any(not g.has_edge(u, v) for u, v in combinations(k, 2)):
+                continue
+            parts = brute_components(g, set(range(g.n)) - set(k))
+            if len(parts) < 2:
+                continue
+            for part in parts:
+                if best is None or (len(part), part) < (len(best), best):
+                    best = part
+    return best
 
 
 class TestFindCliqueCutset:
@@ -54,6 +94,14 @@ class TestFindCliqueCutset:
         for _ in range(120):
             g = random_graph(rng, rng.randint(6, 9), rng.choice([0.2, 0.4, 0.7]))
             assert (find_clique_cutset(g) is not None) == brute_has_clique_cutset(g)
+
+    def test_a_is_the_smallest_component(self):
+        corpus = [g for n in range(7) for g in all_graphs(n)]
+        corpus += list(gnp_graphs(71, 300, 7, 10))
+        for g in corpus:
+            s = find_clique_cutset(g)
+            want = None if g.n <= 1 else brute_smallest_a(g)
+            assert (None if s is None else sorted(s.A)) == want, g.edges()
 
     def test_returned_split_is_valid(self):
         rng = random.Random(8)
@@ -88,6 +136,13 @@ class TestBlocks:
         (ga, _), (gb, _) = blocks_of_clique_split(BOWTIE, s)
         assert ga.n == 3 and ga.m == 3
         assert gb.n == 3 and gb.m == 3
+
+    def test_blocks_revalidate(self):
+        for g in gnp_graphs(72, 200, 2, 12):
+            s = find_clique_cutset(g)
+            if s is not None:
+                for block, _ in blocks_of_clique_split(g, s):
+                    assert_revalidates(block)
 
     def test_invalid_split_rejected(self):
         bad = CliqueSplit(frozenset({0}), frozenset({2, 3}), frozenset({1}))

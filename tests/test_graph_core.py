@@ -11,7 +11,9 @@ from truemper.graph import (EdgeListParseError, Graph, biconnected_blocks,
                             induced_subgraph, is_clique_graph, is_connected,
                             is_hole_graph, is_triangle_free, parse_edge_list)
 
-from util import all_graphs, is_isomorphic, random_graph
+from util import (all_graphs, assert_revalidates, gnp_graphs, is_isomorphic,
+                  random_graph, reference_find_claw, reference_find_diamond,
+                  tf_chordless_line_graphs)
 
 C5 = Graph.from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
 K4 = Graph.from_edge_list(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
@@ -69,6 +71,29 @@ class TestInducedSubgraph:
         g = C5.with_tags(["a", None, "b", None, None])
         sub, _ = induced_subgraph(g, {0, 2, 3})
         assert sub.tags == ("a", "b", None)
+
+    def test_out_of_range_node_named(self):
+        for nodes in ({0, 7, 9}, {-2, 1, 8}):
+            with pytest.raises(ValueError, match=f"node {min(nodes - set(range(5)))} "):
+                induced_subgraph(C5, nodes)
+
+    def test_subgraphs_revalidate(self):
+        rng = random.Random(41)
+        for g in gnp_graphs(42, 200, 0, 12):
+            tags = [rng.choice((None, None, "a", "b")) for _ in range(g.n)]
+            for parent in (g, g.with_tags(tags)):
+                sub, order = induced_subgraph(
+                    parent, rng.sample(range(g.n), rng.randint(0, g.n)))
+                assert_revalidates(sub)
+                assert sub.tags == tuple(parent.tags[v] for v in order)
+
+    def test_untagged_graphs_share_their_tags(self):
+        g = Graph.from_edge_list(6, [(0, 1), (1, 2)])
+        sub, _ = induced_subgraph(K4.with_tags(["a", None, None, None]), {1, 2, 3})
+        assert g.tags == (None,) * 6
+        assert Graph(6, [0] * 6).tags is g.tags
+        assert C5.with_tags([None] * 5).tags is C5.tags
+        assert sub.tags is Graph(3, [0] * 3).tags
 
 
 class TestConnectivity:
@@ -228,6 +253,16 @@ class TestSmallPredicates:
             g = random_graph(rng, rng.randint(4, 10), rng.choice([0.2, 0.5, 0.8]))
             assert (find_diamond(g) is not None) == brute(g, "diamond")
             assert (find_claw(g) is not None) == brute(g, "claw")
+
+    def test_finders_return_the_reference_hit(self):
+        corpus = [g for n in range(7) for g in all_graphs(n)]
+        corpus += list(gnp_graphs(31, 400)) + list(tf_chordless_line_graphs(40))
+        for g in corpus:
+            assert find_claw(g) == reference_find_claw(g), g.edges()
+            assert find_diamond(g) == reference_find_diamond(g), g.edges()
+            has_triangle = any(g.has_edge(u, v) and g.has_edge(u, w) and g.has_edge(v, w)
+                               for u, v, w in combinations(range(g.n), 3))
+            assert is_triangle_free(g) == (not has_triangle), g.edges()
 
 
 class TestEdgeListFormat:

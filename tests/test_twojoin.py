@@ -17,7 +17,7 @@ from truemper.twojoin import (CONSISTENCY_CONDITIONS, TwoJoinSplit,
                               find_2join, is_consistent, marker_path_of,
                               two_join_decomposition_tree, validate_split)
 
-from util import is_isomorphic, random_graph
+from util import assert_revalidates, is_isomorphic, random_graph
 
 
 def hole(k):
@@ -327,6 +327,30 @@ class TestBlocks:
     def test_invalid_split_rejected(self):
         with pytest.raises(ValueError, match="not a 2-join"):
             blocks_of_2join(C8, C8_SPLIT)
+
+    def test_blocks_and_compositions_revalidate(self):
+        rng = random.Random(46)
+        split_count = 0
+        for _ in range(60):
+            g = sparse_planted_2join(rng, rng.randint(8, 13))
+            split = find_2join(g)
+            if split is not None:
+                split_count += 1
+                for block, _ in blocks_of_2join(g, split):
+                    assert_revalidates(block)
+        composed = 0
+        for _ in range(60):
+            factors = []
+            for _ in range(2):
+                f = make_pyramid(tuple(sorted(rng.randint(2, 4) for _ in range(3))))
+                factors.append(_tag_markers(f, rng.choice(_marker_candidates(f))))
+            try:
+                comp, _ = compose_2join_with_split(*factors)
+            except ValueError:
+                continue
+            assert_revalidates(comp)
+            composed += 1
+        assert split_count >= 20 and composed >= 20
 
 
 class TestCompose:

@@ -1,6 +1,8 @@
 """Shared helpers for the test suite: exhaustive small-graph enumeration,
-a small-n isomorphism check, and an independent template-based oracle
-for the four configurations."""
+a small-n isomorphism check, an independent template-based oracle for
+the four configurations, and the plain versions of the claw and diamond
+finders, the chord test and the root search that the library's bitset
+and maximal-clique versions must match exactly."""
 
 from __future__ import annotations
 
@@ -9,7 +11,11 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
-from truemper.graph import Graph, bits, mask_of
+from truemper.basic import (_krausz_partition, _root_with_edge_map,
+                            line_graph)
+from truemper.gen import random_tf_chordless
+from truemper.graph import (Graph, biconnected_blocks, bits, is_triangle_free,
+                            mask_of)
 
 PAIRS = {n: list(combinations(range(n), 2)) for n in range(0, 13)}
 
@@ -36,6 +42,24 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
     return Graph(n, rows)
+
+
+def gnp_graphs(seed, count: int, lo: int = 7, hi: int = 12) -> Iterator[Graph]:
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield random_graph(rng, rng.randint(lo, hi), rng.choice([0.2, 0.35, 0.5, 0.7, 0.85]))
+
+
+def tf_chordless_line_graphs(count: int) -> Iterator[Graph]:
+    for seed in range(count):
+        yield line_graph(random_tf_chordless(seed, 4 + seed % 27))
+
+
+def assert_revalidates(g: Graph) -> None:
+    """A derived graph must equal its rebuild through the checking
+    constructor, tags included."""
+    again = Graph(g.n, [g.adj_mask(v) for v in range(g.n)], g.tags)
+    assert again == g and again.tags == g.tags and type(g.tags) is tuple
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:
@@ -223,3 +247,61 @@ def perfect_elimination_chordal(rng: random.Random, n: int) -> Graph:
             rows[v] |= 1 << w
             rows[w] |= 1 << v
     return Graph(n, rows)
+
+
+# -- plain references for the hot predicates ----------------------------------
+
+def reference_find_diamond(g: Graph) -> Optional[frozenset[int]]:
+    """First induced diamond: non-adjacent u < v, then adjacent common
+    neighbours w1 < w2, in lexicographic order."""
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if g.has_edge(u, v):
+                continue
+            common = bits(g.adj_mask(u) & g.adj_mask(v))
+            for w1, w2 in combinations(common, 2):
+                if g.has_edge(w1, w2):
+                    return frozenset((u, v, w1, w2))
+    return None
+
+
+def reference_find_claw(g: Graph) -> Optional[frozenset[int]]:
+    """First induced claw: centre c, then the first independent triple of
+    its neighbours in lexicographic order."""
+    for c in range(g.n):
+        for t in combinations(g.neighbors(c), 3):
+            if not (g.has_edge(t[0], t[1]) or g.has_edge(t[0], t[2])
+                    or g.has_edge(t[1], t[2])):
+                return frozenset((c,) + t)
+    return None
+
+
+def reference_is_chordless_graph(r: Graph) -> bool:
+    """Every edge tested: a chord's ends still share a 2-connected block
+    once the edge is removed."""
+    for u, v in r.edges():
+        rows = [r.adj_mask(w) for w in range(r.n)]
+        rows[u] &= ~(1 << v)
+        rows[v] &= ~(1 << u)
+        for block in biconnected_blocks(Graph(r.n, rows)):
+            nodes = {w for e in block for w in e}
+            if u in nodes and v in nodes:
+                return False
+    return True
+
+
+def reference_root_graph(g: Graph) -> Optional[Graph]:
+    """Root from the backtracking Krausz search on every input."""
+    if reference_find_claw(g) is not None:
+        return None
+    part = _krausz_partition(g)
+    return None if part is None else _root_with_edge_map(g, part)[0]
+
+
+def reference_is_lg_tf_chordless(g: Graph) -> Optional[Graph]:
+    if reference_find_claw(g) is not None or reference_find_diamond(g) is not None:
+        return None
+    root = reference_root_graph(g)
+    if root is None or not is_triangle_free(root):
+        return None
+    return root if reference_is_chordless_graph(root) else None

@@ -1,0 +1,116 @@
+"""Print one SHA-256 per seeded corpus over every output that a
+behaviour-preserving change must keep byte for byte.
+
+Usage: PYTHONPATH=src python3 tools/digest.py
+
+The library is imported from whatever ``truemper`` is on the path, so an
+exported copy of another commit is checked the same way:
+
+    PYTHONPATH=/path/to/other/src python3 tools/digest.py
+
+Corpora (fixed seeds, so the same library gives the same lines):
+
+* small:  every labeled graph with n <= 6 (33868 graphs);
+* gnp:    3000 seeded G(n, p) with n = 7..12;
+* synth:  synthesized only-prism and only-pyramid members, line graphs of
+          random triangle-free chordless graphs, and planted
+          configurations of every kind (300 graphs).
+
+Per graph the hash covers the three recognizers' ``to_json()`` at witness
+cap 14, the clique-cutset and 2-join trees' ``to_json()`` and
+``to_dot()``, ``root_graph``, ``find_claw``, ``find_diamond`` and
+``is_lg_tf_chordless``.  Each line reads ``<corpus> <graphs> <sha256>``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+import sys
+from itertools import combinations
+from typing import Iterator
+
+from truemper.basic import is_lg_tf_chordless, line_graph, root_graph
+from truemper.cutset import clique_decomposition_tree
+from truemper.gen import (plant_configuration, random_tf_chordless,
+                          synth_only_prism, synth_only_pyramid)
+from truemper.graph import Graph, find_claw, find_diamond, graph_json
+from truemper.oracle import KINDS
+from truemper.recognize import (recognize_only_prism, recognize_only_pyramid,
+                                recognize_universally_signable)
+from truemper.twojoin import two_join_decomposition_tree
+
+WITNESS_CAP = 14
+RECOGNIZERS = (recognize_only_prism, recognize_only_pyramid,
+               recognize_universally_signable)
+
+
+def small_graphs() -> Iterator[Graph]:
+    for n in range(7):
+        pairs = list(combinations(range(n), 2))
+        for code in range(1 << len(pairs)):
+            edges = [p for k, p in enumerate(pairs) if code >> k & 1]
+            yield Graph.from_edge_list(n, edges)
+
+
+def gnp_graphs() -> Iterator[Graph]:
+    rng = random.Random("digest:gnp")
+    for _ in range(3000):
+        n = rng.randint(7, 12)
+        p = rng.choice((0.2, 0.35, 0.5, 0.65, 0.8))
+        edges = [e for e in combinations(range(n), 2) if rng.random() < p]
+        yield Graph.from_edge_list(n, edges)
+
+
+def synth_graphs() -> Iterator[Graph]:
+    for i in range(80):
+        yield synth_only_prism(i, 10 + i % 31)[0]
+    for i in range(60):
+        yield synth_only_pyramid(i, 10 + i % 21)[0]
+    for i in range(60):
+        yield line_graph(random_tf_chordless(i, 6 + i % 25))
+    for i in range(100):
+        yield plant_configuration(i, KINDS[i % len(KINDS)], 10 + i % 11)
+
+
+CORPORA = (("small", small_graphs), ("gnp", gnp_graphs), ("synth", synth_graphs))
+
+
+def _graph_or_none(g) -> object:
+    return None if g is None else graph_json(g)
+
+
+def _nodes_or_none(nodes) -> object:
+    return None if nodes is None else sorted(nodes)
+
+
+def outputs(g: Graph) -> str:
+    """Every checked output of one graph, as one JSON text."""
+    clique_tree = clique_decomposition_tree(g)
+    twojoin_tree = two_join_decomposition_tree(g)
+    return json.dumps([
+        [rec(g, witness_cap=WITNESS_CAP).to_json() for rec in RECOGNIZERS],
+        clique_tree.to_json(), clique_tree.to_dot(),
+        twojoin_tree.to_json(), twojoin_tree.to_dot(),
+        _graph_or_none(root_graph(g)),
+        _nodes_or_none(find_claw(g)),
+        _nodes_or_none(find_diamond(g)),
+        _graph_or_none(is_lg_tf_chordless(g)),
+    ])
+
+
+def main() -> int:
+    for name, graphs in CORPORA:
+        h = hashlib.sha256()
+        count = 0
+        for g in graphs():
+            h.update(outputs(g).encode())
+            h.update(b"\n")
+            count += 1
+        print(f"{name} {count} {h.hexdigest()}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
