@@ -8,9 +8,9 @@ diamond-free g that partition is read off directly: it is the set of
 maximal cliques, {u, v} plus the common neighbours of u and v for each
 edge uv.  That covers every internal caller, since a line graph of a
 triangle-free graph (and so of a tree) has no diamond; only root_graph on
-an input with a diamond runs the backtracking search.  Triangle
-components of the root are canonicalized to claws since both have the
-same line graph.
+an input with a diamond runs the backtracking search.  Both routes cover
+a K3 component of g by one 3-clique, so its root is a claw, never the
+triangle that has the same line graph.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .graph import (Graph, biconnected_blocks, bits, cliques,
-                    components_masks, find_claw, find_diamond, graph_json,
-                    induced_subgraph, is_clique_graph, is_connected,
-                    is_hole_graph, is_triangle_free, hole_order, mask_of)
+from .graph import (Graph, biconnected_blocks, bits, cliques, find_claw,
+                    find_diamond, graph_json, induced_subgraph,
+                    is_clique_graph, is_connected, is_hole_graph,
+                    is_triangle_free, hole_order, mask_of)
 from .oracle import ConfigWitness, is_pyramid
 
 Edge = tuple[int, int]
@@ -131,7 +131,6 @@ def _root_with_edge_map(g: Graph, part: list[frozenset[int]]) -> tuple[Graph, li
         for v in clique:
             clique_of[v].append(ci)
     next_id = len(part)
-    root_edges: list[Edge] = []
     edge_of: list[Edge] = []
     for v in range(g.n):
         cs = clique_of[v]
@@ -143,46 +142,14 @@ def _root_with_edge_map(g: Graph, part: list[frozenset[int]]) -> tuple[Graph, li
         else:  # isolated node of g: a lone edge in the root
             e = (next_id, next_id + 1)
             next_id += 2
-        root_edges.append(e)
         edge_of.append(e)
-    root = Graph.from_edge_list(next_id, root_edges)
-    root, edge_of = _canonicalize_triangles(root, edge_of)
-    return root, edge_of
-
-
-def _canonicalize_triangles(root: Graph, edge_of: list[Edge]) -> tuple[Graph, list[Edge]]:
-    """Replace every triangle component of the root by a claw."""
-    tri_comps = []
-    for comp in components_masks(root):
-        vs = bits(comp)
-        if len(vs) == 3 and all(root.has_edge(a, b) for a, b in combinations(vs, 2)):
-            tri_comps.append(vs)
-    if not tri_comps:
-        return root, edge_of
-    edges = {tuple(sorted(e)) for e in root.edges()}
-    n = root.n
-    remap: dict[Edge, Edge] = {}
-    for vs in tri_comps:
-        center = n
-        n += 1
-        for a, b in combinations(vs, 2):
-            edges.discard((a, b))
-        for v in vs:
-            edges.add((v, center))
-        pairs = [(vs[0], vs[1]), (vs[0], vs[2]), (vs[1], vs[2])]
-        # triangle edge ab maps to the claw edge at the third vertex
-        remap[pairs[0]] = (vs[2], center)
-        remap[pairs[1]] = (vs[1], center)
-        remap[pairs[2]] = (vs[0], center)
-    new_root = Graph.from_edge_list(n, sorted(edges))
-    new_map = [remap.get(tuple(sorted(e)), e) for e in edge_of]
-    new_map = [tuple(sorted(e)) for e in new_map]
-    return new_root, new_map
+    return Graph.from_edge_list(next_id, edge_of), edge_of
 
 
 def root_graph(g: Graph) -> Optional[Graph]:
     """Some graph R with L(R) isomorphic to g, or None if g is not a
-    line graph.  Triangle components of R are canonicalized to claws."""
+    line graph.  R has no triangle component (a K3 component of g gets a
+    claw)."""
     if find_claw(g) is not None:
         return None  # line graphs are claw-free
     if find_diamond(g) is None:
@@ -368,8 +335,7 @@ def build_pyramid_basic(t: LabeledSafeTree) -> Graph:
         elif lab == "y":
             new_edges.append((i, y))
     new_edges.append((x, y))
-    tags = [None] * m + ["special-x", "special-y"]
-    return Graph.from_edge_list(m + 2, new_edges, tags)
+    return Graph.from_edge_list(m + 2, new_edges)
 
 
 def is_pyramid_basic(g: Graph) -> Optional[LabeledSafeTree]:

@@ -21,8 +21,8 @@ from .basic import (LabeledSafeTree, build_pyramid_basic, is_chordless_graph,
 from .graph import (Graph, bits, cliques, graph_from_json, graph_json,
                     is_triangle_free, mask_of)
 from .oracle import KINDS
-from .twojoin import (MARKER_TAGS, check_marker_precondition,
-                      compose_2join_with_split, is_consistent, validate_split)
+from .twojoin import (check_marker_precondition, compose_2join_with_split,
+                      is_consistent, validate_split)
 
 ATTEMPTS_PER_STEP = 64
 
@@ -229,7 +229,7 @@ def _marker_candidates(g: Graph) -> list[tuple[int, int, int]]:
         if g.has_edge(a, b):
             continue
         try:
-            check_marker_precondition(_tag_markers(g, (a, c, b)))
+            check_marker_precondition(g, (a, c, b))
         except ValueError:
             continue
         out.append((a, c, b))
@@ -237,20 +237,10 @@ def _marker_candidates(g: Graph) -> list[tuple[int, int, int]]:
     return out
 
 
-def _tag_markers(g: Graph, marker: tuple[int, int, int]) -> Graph:
-    a, c, b = marker
-    tags = list(g.tags)
-    for v in (a, c, b):
-        if tags[v] in MARKER_TAGS:
-            raise ValueError("node already tagged as a marker")
-    tags[a], tags[c], tags[b] = MARKER_TAGS
-    return g.with_tags(tags)
-
-
 def _compose_step(host: Graph, host_marker: tuple[int, int, int],
                   factor: Graph, factor_marker: tuple[int, int, int]) -> Graph:
-    composed, split = compose_2join_with_split(
-        _tag_markers(host, host_marker), _tag_markers(factor, factor_marker))
+    composed, split = compose_2join_with_split(host, host_marker,
+                                               factor, factor_marker)
     # synthesis only takes steps the decomposition can undo: the composed
     # split must be a full 2-join and consistent
     rep = validate_split(composed, split, mode="full")

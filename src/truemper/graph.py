@@ -1,39 +1,34 @@
 """Immutable simple undirected graphs over contiguous integer node ids.
 
-Adjacency is stored once, as bitset rows (Python ints, one bit per
-neighbor); neighbor tuples are derived from them on demand.  All
+A graph is its node count n plus one adjacency bitset row per node
+(Python ints, one bit per neighbor); neighbor tuples are derived from the
+rows on demand.  Nodes carry no labels: callers that need to name nodes
+(a 2-join block's marker path, say) pass the ids explicitly.  All
 operations are pure functions; edits return new graphs.  Iteration order
 is ascending node id everywhere, so every "first found" answer is
 reproducible.
 
-Graphs are built two ways.  The validated constructor Graph(n, rows,
-tags) takes outside input and checks everything: size, row count, loops,
-range and symmetry.  Graph.derived(n, rows, tags) trusts its rows and
-checks only the tags; it builds the graphs computed from a validated one
-(induced subgraphs, line graphs, 2-join blocks and compositions), and
-Graph.from_edge_list uses it once its own edge checks have passed.
-Untagged graphs of one size share one all-None tags tuple.
+Graphs are built two ways.  The validated constructor Graph(n, rows)
+takes outside input and checks everything: size, row count, loops, range
+and symmetry.  Graph.derived(n, rows) trusts its rows; it builds the
+graphs computed from a validated one (induced subgraphs, line graphs,
+2-join blocks and compositions), and Graph.from_edge_list uses it once
+its own edge checks have passed.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 MAX_NODES = 4096
 
 
 class Graph:
-    """A finite simple graph on nodes 0..n-1.
+    """A finite simple graph on nodes 0..n-1."""
 
-    Node tags are metadata only (used to mark marker-path nodes and the
-    special nodes of pyramid-basic constructions); no structural predicate
-    reads them.
-    """
+    __slots__ = ("n", "_adj")
 
-    __slots__ = ("n", "_adj", "tags")
-
-    def __init__(self, n: int, adj_masks: Sequence[int], tags: Optional[Sequence[Optional[str]]] = None):
+    def __init__(self, n: int, adj_masks: Sequence[int]):
         if n < 0 or n > MAX_NODES:
             raise ValueError(f"node count {n} outside supported range 0..{MAX_NODES}")
         if len(adj_masks) != n:
@@ -56,26 +51,22 @@ class Graph:
                 w ^= b
         self.n = n
         self._adj = tuple(adj_masks)
-        self.tags = _tags_of(n, tags)
 
     # -- construction ----------------------------------------------------
 
     @staticmethod
-    def derived(n: int, adj_masks: Sequence[int],
-                tags: Optional[Sequence[Optional[str]]] = None) -> "Graph":
+    def derived(n: int, adj_masks: Sequence[int]) -> "Graph":
         """Internal constructor for a graph computed from a validated one
         (induced subgraphs, line graphs, blocks, compositions): the rows
-        must already be symmetric, loop-free and in range, so only the
-        tags are checked."""
+        must already be symmetric, loop-free and in range, so nothing is
+        checked."""
         g = object.__new__(Graph)
         g.n = n
         g._adj = tuple(adj_masks)
-        g.tags = _tags_of(n, tags)
         return g
 
     @staticmethod
-    def from_edge_list(n: int, edges: Iterable[tuple[int, int]],
-                       tags: Optional[Sequence[Optional[str]]] = None) -> "Graph":
+    def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from an explicit edge list.
 
         Rejects self-loops, duplicate edges and out-of-range ids.
@@ -95,10 +86,7 @@ class Graph:
             seen.add(key)
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return Graph.derived(n, rows, tags)
-
-    def with_tags(self, tags: Sequence[Optional[str]]) -> "Graph":
-        return Graph(self.n, self._adj, tags)
+        return Graph.derived(n, rows)
 
     # -- elementary queries ----------------------------------------------
 
@@ -143,22 +131,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-@lru_cache(maxsize=128)
-def _untagged(n: int) -> tuple[None, ...]:
-    return (None,) * n
-
-
-def _tags_of(n: int, tags: Optional[Sequence[Optional[str]]]) -> tuple[Optional[str], ...]:
-    """The tags as an n-tuple; untagged graphs of one size share one
-    all-None tuple."""
-    if tags is None:
-        return _untagged(n)
-    tags = tuple(tags)
-    if len(tags) != n:
-        raise ValueError("tags length must equal node count")
-    return _untagged(n) if tags.count(None) == n else tags
-
-
 def _bits(mask: int) -> Iterator[int]:
     while mask:
         b = mask & -mask
@@ -198,9 +170,7 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> tuple[Graph, tuple[int, 
             row |= 1 << pos[b.bit_length() - 1]
             w ^= b
         rows.append(row)
-    tags = g.tags
-    sub_tags = None if tags.count(None) == g.n else [tags[v] for v in order]
-    return Graph.derived(len(order), rows, sub_tags), tuple(order)
+    return Graph.derived(len(order), rows), tuple(order)
 
 
 # -- connectivity ---------------------------------------------------------

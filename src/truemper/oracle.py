@@ -304,7 +304,8 @@ def is_long_pyramid(g: Graph) -> bool:
 
 def contains_config(g: Graph, kinds: Sequence[str] = KINDS,
                     cap: int = DEFAULT_CAP) -> Optional[ConfigWitness]:
-    """First induced configuration of one of the given kinds, or None.
+    """First induced configuration of one of the given kinds (one kind
+    name or a sequence of them), or None.
 
     Enumerates node subsets by size then lexicographically and runs the
     structural checks on each induced subgraph, so the answer is sound
@@ -333,6 +334,8 @@ def scan_configs(g: Graph, kinds: Sequence[str] = KINDS,
 
 
 def _validate_kinds(kinds: Sequence[str]) -> tuple[str, ...]:
+    if isinstance(kinds, str):  # one kind name, not a sequence of letters
+        kinds = (kinds,)
     wanted = tuple(k for k in KINDS if k in set(kinds))
     unknown = set(kinds) - set(KINDS)
     if unknown:

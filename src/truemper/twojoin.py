@@ -11,7 +11,9 @@ Detection seeds on ordered pairs of crossing edges and closes the
 partition under forcing rules, at every graph size (see find_2join for
 what is proven about it); the exhaustive partition sweep serves only as
 a test oracle.  Splitting a 2-join replaces the far side by a
-three-node marker path; composition is the inverse operation.
+three-node marker path (a, c, b), which is always the block's last three
+nodes; composition is the inverse operation and takes each factor's
+marker path as an explicit triple of node ids.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from .decomp import INTERNAL, DecompNode, DecompTree
 from .graph import (Graph, bits, components_masks, induced_subgraph,
                     is_clique_graph, is_clique_mask, is_hole_graph, mask_of,
                     path_order, reach)
-
-MARKER_TAGS = ("marker-a", "marker-c", "marker-b")
 
 
 @dataclass(frozen=True)
@@ -378,8 +378,9 @@ def blocks_of_2join(g: Graph, s: TwoJoinSplit) -> tuple[
     """The two blocks of decomposition, each with a map back to g.
 
     Block i keeps G[X_i] and replaces the far side by a marker path
-    a-c-b with a complete to A_i, b complete to B_i and c of degree 2;
-    marker nodes are tagged and map to None.
+    a-c-b with a complete to A_i, b complete to B_i and c of degree 2.
+    The marker path is the block's last three nodes (n-3, n-2, n-1) in
+    that order, and those nodes map to None.
     """
     rep = validate_split(g, s, mode="full")
     if not rep:
@@ -399,35 +400,26 @@ def _one_block(g: Graph, x_set: frozenset[int], a_set: frozenset[int],
         for v in side_set:
             rows[pos[v]] |= 1 << marker
             rows[marker] |= 1 << pos[v]
-    block = Graph.derived(side.n + 3, rows, side.tags + MARKER_TAGS)
+    block = Graph.derived(side.n + 3, rows)
     return block, origin + (None, None, None)
 
 
-def marker_path_of(g: Graph) -> tuple[int, int, int]:
-    """The tagged marker path (a, c, b) of a block; raises if absent or
-    malformed."""
-    found = {}
-    for v in range(g.n):
-        if g.tags[v] in MARKER_TAGS:
-            if g.tags[v] in found:
-                raise ValueError(f"duplicate {g.tags[v]} tag")
-            found[g.tags[v]] = v
-    if set(found) != set(MARKER_TAGS):
-        raise ValueError("graph does not carry a tagged marker path")
-    a, c, b = found["marker-a"], found["marker-c"], found["marker-b"]
+def check_marker_precondition(g: Graph, marker: tuple[int, int, int]) -> TwoJoinSplit:
+    """Validate that marker = (a, c, b) is a marker path of g and that
+    (V minus the marker, marker) is a consistent almost 2-join; returns
+    the split or raises ValueError naming the failure."""
+    a, c, b = marker
+    for v in marker:
+        if not 0 <= v < g.n:
+            raise ValueError(f"marker node {v} not in graph")
+    if len({a, c, b}) != 3:
+        raise ValueError("marker nodes must be distinct")
     if not (g.has_edge(a, c) and g.has_edge(c, b)):
         raise ValueError("marker nodes do not form a path")
     if g.has_edge(a, b):
         raise ValueError("marker path ends are adjacent")
     if g.degree(c) != 2:
         raise ValueError("marker middle node must have degree 2")
-    return a, c, b
-
-
-def check_marker_precondition(g: Graph) -> TwoJoinSplit:
-    """Validate that (V minus markers, markers) is a consistent almost
-    2-join; returns the split or raises naming the failure."""
-    a, c, b = marker_path_of(g)
     markers = frozenset((a, c, b))
     split = TwoJoinSplit(frozenset(range(g.n)) - markers, markers,
                          frozenset(bits(g.adj_mask(a))) - {c}, frozenset({a}),
@@ -443,15 +435,17 @@ def check_marker_precondition(g: Graph) -> TwoJoinSplit:
     return split
 
 
-def compose_2join_with_split(g1: Graph, g2: Graph) -> tuple[Graph, TwoJoinSplit]:
-    """Consistent 2-join composition of two marker-path blocks.
+def compose_2join_with_split(g1: Graph, m1: tuple[int, int, int], g2: Graph,
+                             m2: tuple[int, int, int]) -> tuple[Graph, TwoJoinSplit]:
+    """Consistent 2-join composition of g1 and g2 along their marker
+    paths m1 and m2, each an (a, c, b) triple of node ids.
 
     Removes both marker paths and joins the neighborhoods of the a-ends
     and of the b-ends by complete bundles.  Also returns the induced
     split of the composed graph (side 1 holds the g1 part).
     """
-    s1 = check_marker_precondition(g1)
-    s2 = check_marker_precondition(g2)
+    s1 = check_marker_precondition(g1, m1)
+    s2 = check_marker_precondition(g2, m2)
     h1, part1 = induced_subgraph(g1, s1.X1)
     h2, part2 = induced_subgraph(g2, s2.X1)
     off = h1.n
@@ -465,7 +459,7 @@ def compose_2join_with_split(g1: Graph, g2: Graph) -> tuple[Graph, TwoJoinSplit]
             rows[pos1[u]] |= bundle2
         for v in side2:
             rows[pos2[v]] |= bundle1
-    composed = Graph.derived(off + h2.n, rows, h1.tags + h2.tags)
+    composed = Graph.derived(off + h2.n, rows)
     split = TwoJoinSplit(
         frozenset(range(off)), frozenset(range(off, composed.n)),
         frozenset(pos1[v] for v in s1.A1), frozenset(pos2[v] for v in s2.A1),
@@ -477,9 +471,10 @@ def compose_2join_with_split(g1: Graph, g2: Graph) -> tuple[Graph, TwoJoinSplit]
     return composed, split
 
 
-def compose_2join(g1: Graph, g2: Graph) -> Graph:
+def compose_2join(g1: Graph, m1: tuple[int, int, int], g2: Graph,
+                  m2: tuple[int, int, int]) -> Graph:
     """Consistent 2-join composition (see compose_2join_with_split)."""
-    return compose_2join_with_split(g1, g2)[0]
+    return compose_2join_with_split(g1, m1, g2, m2)[0]
 
 
 # -- decomposition tree ------------------------------------------------------------

@@ -12,8 +12,8 @@ import time
 
 from truemper.cutset import find_clique_cutset
 from truemper.gen import (_marker_candidates, _random_safe_labeled_tree,
-                          _tag_markers, make_pyramid, plant_configuration,
-                          synth_only_prism, synth_only_pyramid)
+                          make_pyramid, plant_configuration, synth_only_prism,
+                          synth_only_pyramid)
 from truemper.basic import build_pyramid_basic, is_lg_tf_chordless, root_graph
 from truemper.graph import find_claw, find_diamond, induced_subgraph
 from truemper.oracle import has_star_cutset, scan_configs
@@ -275,10 +275,10 @@ def test_criterion_7_preservation_lemmas():
     while produced < 200:
         g1 = _random_compose_factor(rng)
         g2 = _random_compose_factor(rng)
-        t1 = _tag_markers(g1, rng.choice(_marker_candidates(g1)))
-        t2 = _tag_markers(g2, rng.choice(_marker_candidates(g2)))
+        m1 = rng.choice(_marker_candidates(g1))
+        m2 = rng.choice(_marker_candidates(g2))
         try:
-            comp, split = compose_2join_with_split(t1, t2)
+            comp, split = compose_2join_with_split(g1, m1, g2, m2)
         except ValueError:
             continue
         if comp.n > 14 or not validate_split(comp, split, "full").ok:
@@ -287,7 +287,7 @@ def test_criterion_7_preservation_lemmas():
             continue
         produced += 1
         (b1, _), (b2, _) = blocks_of_2join(comp, split)
-        if not (is_isomorphic(b1, t1) and is_isomorphic(b2, t2)):
+        if not (is_isomorphic(b1, g1) and is_isomorphic(b2, g2)):
             failures.append(("round-trip", produced))
             continue
         free_g = find_clique_cutset(comp) is None

@@ -11,7 +11,7 @@ from truemper.basic import (LabeledSafeTree, _krausz_partition,
                             root_graph)
 from truemper.gen import make_pyramid, random_tf_chordless
 from truemper.graph import (Graph, components_masks, find_claw, find_diamond,
-                            is_triangle_free)
+                            is_clique_mask, is_triangle_free)
 from truemper.oracle import contains_config, scan_configs
 
 from util import (all_graphs, assert_revalidates, gnp_graphs, is_isomorphic,
@@ -116,6 +116,30 @@ class TestRootGraph:
             if part is not None:
                 root = _root_with_edge_map(g, part)[0]
                 assert root.m != root.n - 1 or len(components_masks(root)) > 1
+
+    def test_no_root_has_a_triangle_component(self):
+        # both partition routes cover a K3 component of g by one 3-clique,
+        # so its root is a claw and no triangle is ever left to replace
+        rng = random.Random(65)
+        line_graphs = []
+        for _ in range(300):
+            base = random_graph(rng, rng.randint(2, 8), 0.5)
+            extra = rng.choice((K3, CLAW))
+            base = Graph.from_edge_list(base.n + extra.n, base.edges() + [
+                (u + base.n, v + base.n) for u, v in extra.edges()])
+            line_graphs.append(line_graph(base))
+        krausz_with_k3 = 0
+        for g in list(small_graphs()) + line_graphs:
+            r = root_graph(g)
+            if r is None:
+                continue
+            assert not any(c.bit_count() == 3 and is_clique_mask(r, c)
+                           for c in components_masks(r)), g.edges()
+            if find_diamond(g) is not None and any(
+                    c.bit_count() == 3 and is_clique_mask(g, c)
+                    for c in components_masks(g)):
+                krausz_with_k3 += 1
+        assert krausz_with_k3 >= 50
 
     def test_non_line_graphs_refused(self):
         # wheels with 5-rims are not line graphs (their hub edges cannot
@@ -249,7 +273,9 @@ class TestBuildPyramidBasic:
         t = LabeledSafeTree(P4, {(0, 1): "x", (2, 3): "y"})
         g = build_pyramid_basic(t)
         assert is_isomorphic(g, C5)
-        assert g.tags[3] == "special-x" and g.tags[4] == "special-y"
+        # x = m = 3 meets the x-labeled edge 0, y = m + 1 = 4 the y-labeled
+        # edge 2
+        assert g.neighbors(3) == (0, 4) and g.neighbors(4) == (2, 3)
 
     def test_h_tree_gives_only_pyramid_11(self):
         g = build_pyramid_basic(LabeledSafeTree(H_TREE, H_LABELS))

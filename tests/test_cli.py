@@ -152,11 +152,9 @@ class TestDecomposeCommand:
         assert data["root"]["kind"] == "no-2join"
 
     def test_2join_mode_on_composed_instance(self, workdir, capsys):
-        from truemper.gen import _tag_markers
         from truemper.twojoin import compose_2join
         lp = make_pyramid((3, 3, 3))
-        comp = compose_2join(_tag_markers(lp, (4, 5, 1)),
-                             _tag_markers(lp, (4, 5, 1)))
+        comp = compose_2join(lp, (4, 5, 1), lp, (4, 5, 1))
         path = write_graph(workdir, "comp.graph", comp)
         out = workdir / "tree.json"
         dot = workdir / "tree.dot"

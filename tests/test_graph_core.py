@@ -67,11 +67,6 @@ class TestInducedSubgraph:
             sub, idmap = induced_subgraph(g, range(g.n))
             assert sub == g and idmap == tuple(range(g.n))
 
-    def test_tags_carried(self):
-        g = C5.with_tags(["a", None, "b", None, None])
-        sub, _ = induced_subgraph(g, {0, 2, 3})
-        assert sub.tags == ("a", "b", None)
-
     def test_out_of_range_node_named(self):
         for nodes in ({0, 7, 9}, {-2, 1, 8}):
             with pytest.raises(ValueError, match=f"node {min(nodes - set(range(5)))} "):
@@ -80,20 +75,9 @@ class TestInducedSubgraph:
     def test_subgraphs_revalidate(self):
         rng = random.Random(41)
         for g in gnp_graphs(42, 200, 0, 12):
-            tags = [rng.choice((None, None, "a", "b")) for _ in range(g.n)]
-            for parent in (g, g.with_tags(tags)):
-                sub, order = induced_subgraph(
-                    parent, rng.sample(range(g.n), rng.randint(0, g.n)))
-                assert_revalidates(sub)
-                assert sub.tags == tuple(parent.tags[v] for v in order)
-
-    def test_untagged_graphs_share_their_tags(self):
-        g = Graph.from_edge_list(6, [(0, 1), (1, 2)])
-        sub, _ = induced_subgraph(K4.with_tags(["a", None, None, None]), {1, 2, 3})
-        assert g.tags == (None,) * 6
-        assert Graph(6, [0] * 6).tags is g.tags
-        assert C5.with_tags([None] * 5).tags is C5.tags
-        assert sub.tags is Graph(3, [0] * 3).tags
+            sub, _ = induced_subgraph(
+                g, rng.sample(range(g.n), rng.randint(0, g.n)))
+            assert_revalidates(sub)
 
 
 class TestConnectivity:

@@ -112,6 +112,15 @@ class TestContainsConfig:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             contains_config(C7, ["pentagon"])
+        with pytest.raises(ValueError, match=r"\['pentagon'\]"):
+            contains_config(C7, "pentagon")
+
+    def test_bare_kind_name_is_one_kind(self):
+        g = make_pyramid((1, 2, 2))
+        for kind in KINDS:
+            assert scan_configs(g, kind) == scan_configs(g, (kind,))
+        assert scan_configs(K23, "theta") == scan_configs(K23, ("theta",))
+        assert contains_config(g, "wheel") is not None
 
     def test_deterministic_witness(self):
         g = make_pyramid((1, 2, 2))

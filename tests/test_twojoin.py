@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from truemper.cutset import find_clique_cutset
-from truemper.gen import _marker_candidates, _tag_markers, make_pyramid
+from truemper.cutset import clique_decomposition_tree, find_clique_cutset
+from truemper.gen import _marker_candidates, make_pyramid, synth_only_pyramid
 from truemper.graph import Graph, bits, mask_of
 from truemper.oracle import scan_configs
 from truemper.recognize import recognize_only_pyramid
@@ -14,7 +14,7 @@ from truemper.twojoin import (CONSISTENCY_CONDITIONS, TwoJoinSplit,
                               all_2joins_brute, all_almost_2joins_brute,
                               blocks_of_2join, check_marker_precondition,
                               compose_2join, compose_2join_with_split,
-                              find_2join, is_consistent, marker_path_of,
+                              find_2join, is_consistent,
                               two_join_decomposition_tree, validate_split)
 
 from util import assert_revalidates, is_isomorphic, random_graph
@@ -24,13 +24,17 @@ def hole(k):
     return Graph.from_edge_list(k, [(i, (i + 1) % k) for i in range(k)])
 
 
+def last_three(block):
+    """The marker path (a, c, b) of a 2-join block."""
+    return block.n - 3, block.n - 2, block.n - 1
+
+
 def composed_long_pyramids():
     # (3,3,3)-pyramids composed on a path-interior marker: the A-bundle is
     # a singleton pair and the B-bundle a clique pair, so the composed
     # split is consistent
     lp = make_pyramid((3, 3, 3))
-    t = _tag_markers(lp, (4, 5, 1))
-    return compose_2join_with_split(t, t)
+    return compose_2join_with_split(lp, (4, 5, 1), lp, (4, 5, 1))
 
 
 def reaches_avoiding(g, side, v, target, forbidden):
@@ -136,7 +140,7 @@ class TestIsConsistent:
     def test_marker_side_is_trivially_consistent(self):
         comp, split = composed_long_pyramids()
         (b1, _), _ = blocks_of_2join(comp, split)
-        ms = check_marker_precondition(b1)  # validates and returns the split
+        ms = check_marker_precondition(b1, last_three(b1))  # returns the split
         ok, idx = is_consistent(b1, ms)
         assert ok and idx is None
 
@@ -301,27 +305,27 @@ class TestBlocks:
     def test_marker_structure(self):
         comp, split = composed_long_pyramids()
         (b1, m1), _ = blocks_of_2join(comp, split)
-        a, c, b = marker_path_of(b1)
-        assert b1.degree(c) == 2
-        assert b1.tags[a] == "marker-a" and b1.tags[b] == "marker-b"
+        a, c, b = last_three(b1)
+        assert b1.degree(c) == 2 and not b1.has_edge(a, b)
+        assert {m1[v] for v in bits(b1.adj_mask(a)) if v != c} == split.A1
+        assert {m1[v] for v in bits(b1.adj_mask(b)) if v != c} == split.B1
         assert m1[a] is None and m1[c] is None and m1[b] is None
         for new_id, old in enumerate(m1[:-3]):
             assert old is not None
 
     def test_blocks_recover_factors(self):
         lp = make_pyramid((2, 2, 2))
-        t = _tag_markers(lp, (1, 4, 0))
-        comp, split = compose_2join_with_split(t, t)
+        comp, split = compose_2join_with_split(lp, (1, 4, 0), lp, (1, 4, 0))
         (b1, _), (b2, _) = blocks_of_2join(comp, split)
-        assert is_isomorphic(b1, t)
-        assert is_isomorphic(b2, t)
+        assert is_isomorphic(b1, lp)
+        assert is_isomorphic(b2, lp)
 
     def test_marker_side_consistency_is_inherited(self):
         comp, split = composed_long_pyramids()
         ok, _ = is_consistent(comp, split)
         assert ok
         for block, _m in blocks_of_2join(comp, split):
-            ms = check_marker_precondition(block)
+            ms = check_marker_precondition(block, last_three(block))
             assert is_consistent(block, ms)[0]
 
     def test_invalid_split_rejected(self):
@@ -343,7 +347,7 @@ class TestBlocks:
             factors = []
             for _ in range(2):
                 f = make_pyramid(tuple(sorted(rng.randint(2, 4) for _ in range(3))))
-                factors.append(_tag_markers(f, rng.choice(_marker_candidates(f))))
+                factors += [f, rng.choice(_marker_candidates(f))]
             try:
                 comp, _ = compose_2join_with_split(*factors)
             except ValueError:
@@ -356,32 +360,43 @@ class TestBlocks:
 class TestCompose:
     def test_two_c7_give_c8(self):
         from truemper.graph import is_hole_graph
-        c7 = _tag_markers(hole(7), (0, 1, 2))
-        comp = compose_2join(c7, c7)
+        comp = compose_2join(hole(7), (0, 1, 2), hole(7), (0, 1, 2))
         assert comp.n == 8 and is_hole_graph(comp)
 
     def test_two_holes_of_different_girth(self):
         from truemper.graph import is_hole_graph
-        a = _tag_markers(hole(7), (0, 1, 2))
-        b = _tag_markers(hole(9), (0, 1, 2))
-        comp = compose_2join(a, b)
+        comp = compose_2join(hole(7), (0, 1, 2), hole(9), (0, 1, 2))
         assert comp.n == 10 and is_hole_graph(comp)
 
-    def test_missing_marker_tags_rejected(self):
-        with pytest.raises(ValueError, match="marker"):
-            compose_2join(hole(7), hole(7))
+    def test_malformed_marker_rejected(self):
+        c7 = hole(7)
+        chord_02 = Graph.from_edge_list(7, c7.edges() + [(0, 2)])
+        chord_14 = Graph.from_edge_list(7, c7.edges() + [(1, 4)])
+        for g, marker, fault in (
+                (c7, (0, 1, 7), "marker node 7 not in graph"),
+                (c7, (-1, 0, 1), "marker node -1 not in graph"),
+                (c7, (0, 1, 0), "marker nodes must be distinct"),
+                (c7, (0, 2, 4), "marker nodes do not form a path"),
+                (c7, (0, 1, 3), "marker nodes do not form a path"),
+                (chord_02, (0, 1, 2), "marker path ends are adjacent"),
+                (chord_14, (0, 1, 2), "marker middle node must have degree 2")):
+            with pytest.raises(ValueError, match=fault):
+                check_marker_precondition(g, marker)
+            with pytest.raises(ValueError, match=fault):
+                compose_2join(c7, (0, 1, 2), g, marker)
+            with pytest.raises(ValueError, match=fault):
+                compose_2join(g, marker, c7, (0, 1, 2))
 
     def test_small_hole_side_rejected(self):
-        c5 = _tag_markers(hole(5), (0, 1, 2))
         with pytest.raises(ValueError, match="almost 2-join"):
-            compose_2join(c5, c5)
+            compose_2join(hole(5), (0, 1, 2), hole(5), (0, 1, 2))
 
     def test_hole_factors_compose_to_almost_only_partitions(self):
         # hole sides are chordless paths with singleton specials, so the
         # induced partition of the composition never upgrades to a full
         # 2-join and the blocks cannot be recovered from it
-        c7 = _tag_markers(hole(7), (0, 1, 2))
-        comp, split = compose_2join_with_split(c7, c7)
+        comp, split = compose_2join_with_split(hole(7), (0, 1, 2),
+                                               hole(7), (0, 1, 2))
         assert validate_split(comp, split, "almost").ok
         assert not validate_split(comp, split, "full").ok
         with pytest.raises(ValueError, match="not a 2-join"):
@@ -391,9 +406,8 @@ class TestCompose:
         # a path's marker side fails connectivity of the far side: build a
         # graph where X1 is disconnected
         g = Graph.from_edge_list(7, [(0, 1), (1, 2), (0, 3), (0, 4), (2, 5), (2, 6)])
-        tagged = _tag_markers(g, (0, 1, 2))
         with pytest.raises(ValueError):
-            check_marker_precondition(tagged)
+            check_marker_precondition(g, (0, 1, 2))
 
 
 class TestPreservationLemmas:
@@ -417,24 +431,23 @@ class TestPreservationLemmas:
             ms1, ms2 = _marker_candidates(g1), _marker_candidates(g2)
             if not ms1 or not ms2:
                 continue
-            t1 = _tag_markers(g1, rng.choice(ms1))
-            t2 = _tag_markers(g2, rng.choice(ms2))
+            m1, m2 = rng.choice(ms1), rng.choice(ms2)
             try:
-                comp, split = compose_2join_with_split(t1, t2)
+                comp, split = compose_2join_with_split(g1, m1, g2, m2)
             except ValueError:
                 continue
             if comp.n > 14 or not validate_split(comp, split, "full").ok:
                 continue
             if not is_consistent(comp, split)[0]:
                 continue
-            return comp, split, t1, t2
+            return comp, split, g1, g2
 
     def test_keep_lemmas_and_round_trip(self):
         rng = random.Random(45)
         for _ in range(25):
-            comp, split, t1, t2 = self._composed_pair(rng)
+            comp, split, g1, g2 = self._composed_pair(rng)
             (b1, _), (b2, _) = blocks_of_2join(comp, split)
-            assert is_isomorphic(b1, t1) and is_isomorphic(b2, t2)
+            assert is_isomorphic(b1, g1) and is_isomorphic(b2, g2)
             # clique cutsets transfer between the graph and its blocks
             free_g = find_clique_cutset(comp) is None
             free_b = (find_clique_cutset(b1) is None
@@ -461,7 +474,6 @@ class TestDecompositionTree:
 
     def test_double_composition_has_two_internal_nodes(self):
         lp = make_pyramid((3, 3, 3))
-        t = _tag_markers(lp, (4, 5, 1))
         comp, _ = composed_long_pyramids()
         cands = _marker_candidates(comp)
         assert cands
@@ -469,7 +481,7 @@ class TestDecompositionTree:
         for cand in cands:
             try:
                 bigger, split = compose_2join_with_split(
-                    _tag_markers(comp, cand), t)
+                    comp, cand, lp, (4, 5, 1))
             except ValueError:
                 continue
             if (validate_split(bigger, split, "full").ok
@@ -484,6 +496,25 @@ class TestDecompositionTree:
         for leaf in tree.leaves:
             assert leaf.kind == "no-2join"
             assert classify_basic(leaf.graph).category in ONLY_PYRAMID_BASIC
+
+    def test_nested_blocks_recompose(self):
+        # blocks of a block carry two marker paths; the last three nodes
+        # name the newest one
+        internal = 0
+        for seed in range(40):
+            g, _ = synth_only_pyramid(seed, 30)
+            todo = [two_join_decomposition_tree(leaf.graph).root
+                    for leaf in clique_decomposition_tree(g).leaves]
+            while todo:
+                node = todo.pop()
+                todo.extend(node.children)
+                if node.is_leaf:
+                    continue
+                internal += 1
+                (b1, _), (b2, _) = blocks_of_2join(node.graph, node.split)
+                comp = compose_2join(b1, last_three(b1), b2, last_three(b2))
+                assert is_isomorphic(comp, node.graph), (seed, node.split)
+        assert internal == 33
 
     def test_call_bound(self):
         rng = random.Random(46)

@@ -14,12 +14,19 @@ Corpora (fixed seeds, so the same library gives the same lines):
 * gnp:    3000 seeded G(n, p) with n = 7..12;
 * synth:  synthesized only-prism and only-pyramid members, line graphs of
           random triangle-free chordless graphs, and planted
-          configurations of every kind (300 graphs).
+          configurations of every kind (300 graphs);
+* gen:    synthesized only-prism and only-pyramid members and planted
+          configurations of every kind (150 graphs).
 
-Per graph the hash covers the three recognizers' ``to_json()`` at witness
-cap 14, the clique-cutset and 2-join trees' ``to_json()`` and
-``to_dot()``, ``root_graph``, ``find_claw``, ``find_diamond`` and
-``is_lg_tf_chordless``.  Each line reads ``<corpus> <graphs> <sha256>``.
+For the first three corpora the hash covers, per graph, the three
+recognizers' ``to_json()`` at witness cap 14, the clique-cutset and
+2-join trees' ``to_json()`` and ``to_dot()``, ``root_graph``,
+``find_claw``, ``find_diamond`` and ``is_lg_tf_chordless``.  For gen it
+covers the generated graph, its recipe JSON and the graph the recipe
+replays to, and, at every internal node of the 2-join tree of every
+clique-cutset leaf, both ``blocks_of_2join`` blocks with their origin
+maps and their recomposition along the blocks' marker paths (the last
+three nodes of each).  Each line reads ``<corpus> <graphs> <sha256>``.
 """
 
 from __future__ import annotations
@@ -34,12 +41,13 @@ from typing import Iterator
 from truemper.basic import is_lg_tf_chordless, line_graph, root_graph
 from truemper.cutset import clique_decomposition_tree
 from truemper.gen import (plant_configuration, random_tf_chordless,
-                          synth_only_prism, synth_only_pyramid)
+                          replay_recipe, synth_only_prism, synth_only_pyramid)
 from truemper.graph import Graph, find_claw, find_diamond, graph_json
 from truemper.oracle import KINDS
 from truemper.recognize import (recognize_only_prism, recognize_only_pyramid,
                                 recognize_universally_signable)
-from truemper.twojoin import two_join_decomposition_tree
+from truemper.twojoin import (blocks_of_2join, compose_2join_with_split,
+                              two_join_decomposition_tree)
 
 WITNESS_CAP = 14
 RECOGNIZERS = (recognize_only_prism, recognize_only_pyramid,
@@ -74,7 +82,14 @@ def synth_graphs() -> Iterator[Graph]:
         yield plant_configuration(i, KINDS[i % len(KINDS)], 10 + i % 11)
 
 
-CORPORA = (("small", small_graphs), ("gnp", gnp_graphs), ("synth", synth_graphs))
+def gen_cases() -> Iterator[tuple[Graph, object]]:
+    """(graph, recipe or None) pairs."""
+    for i in range(50):
+        yield synth_only_prism(i, 10 + i % 21)
+    for i in range(50):
+        yield synth_only_pyramid(i, 10 + i % 21)
+    for i in range(50):
+        yield plant_configuration(i, KINDS[i % len(KINDS)], 10 + i % 21), None
 
 
 def _graph_or_none(g) -> object:
@@ -100,12 +115,52 @@ def outputs(g: Graph) -> str:
     ])
 
 
+def _compose_blocks(b1: Graph, b2: Graph):
+    """compose_2join_with_split on two blocks along their marker paths."""
+    m1, m2 = (b1.n - 3, b1.n - 2, b1.n - 1), (b2.n - 3, b2.n - 2, b2.n - 1)
+    if "tags" not in Graph.__slots__:
+        return compose_2join_with_split(b1, m1, b2, m2)
+    # a library whose composition finds the marker path by node tags, so
+    # that an exported copy of such a commit gives a comparable digest
+    from truemper.twojoin import MARKER_TAGS
+
+    def tagged(b: Graph) -> Graph:
+        return b.with_tags([None] * (b.n - 3) + list(MARKER_TAGS))
+
+    return compose_2join_with_split(tagged(b1), tagged(b2))
+
+
+def gen_outputs(case: tuple[Graph, object]) -> str:
+    """The generated graph, its recipe and replay, and every 2-join
+    block and recomposition, as one JSON text."""
+    g, recipe = case
+    out = [graph_json(g)]
+    if recipe is not None:
+        out += [recipe.to_json(), graph_json(replay_recipe(recipe))]
+    for leaf in clique_decomposition_tree(g).leaves:
+        todo = [two_join_decomposition_tree(leaf.graph).root]
+        while todo:
+            node = todo.pop()
+            todo.extend(node.children)
+            if node.is_leaf:
+                continue
+            (b1, map1), (b2, map2) = blocks_of_2join(node.graph, node.split)
+            composed, split = _compose_blocks(b1, b2)
+            out += [graph_json(b1), map1, graph_json(b2), map2,
+                    graph_json(composed), split.to_json()]
+    return json.dumps(out)
+
+
+CORPORA = (("small", small_graphs, outputs), ("gnp", gnp_graphs, outputs),
+           ("synth", synth_graphs, outputs), ("gen", gen_cases, gen_outputs))
+
+
 def main() -> int:
-    for name, graphs in CORPORA:
+    for name, cases, output in CORPORA:
         h = hashlib.sha256()
         count = 0
-        for g in graphs():
-            h.update(outputs(g).encode())
+        for case in cases():
+            h.update(output(case).encode())
             h.update(b"\n")
             count += 1
         print(f"{name} {count} {h.hexdigest()}", flush=True)
