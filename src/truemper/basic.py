@@ -3,14 +3,14 @@
 The basic classes are cliques, holes, long pyramids, pyramid-basic
 graphs, and line graphs of triangle-free chordless graphs.  A root graph
 R with L(R) = g comes from a Krausz clique partition of g (each edge
-covered by exactly one clique, each node in at most two).  On a claw-free,
-diamond-free g that partition is read off directly: it is the set of
-maximal cliques, {u, v} plus the common neighbours of u and v for each
-edge uv.  That covers every internal caller, since a line graph of a
-triangle-free graph (and so of a tree) has no diamond; only root_graph on
-an input with a diamond runs the backtracking search.  Both routes cover
-a K3 component of g by one 3-clique, so its root is a claw, never the
-triangle that has the same line graph.
+covered by exactly one clique, each node in at most two).  One search
+finds it for every caller: it covers edges in lexicographic order, and an
+edge uv has at most two candidate cliques, both {u, v} plus all common
+neighbours of u and v but at most one.  It backtracks only on inputs with
+a diamond; on the claw-free, diamond-free graphs that every internal
+caller passes, it returns the maximal cliques.  A K3 component of g is
+covered by one 3-clique, so its root is a claw, never the triangle that
+has the same line graph.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .graph import (Graph, biconnected_blocks, bits, cliques, find_claw,
-                    find_diamond, graph_json, induced_subgraph,
-                    is_clique_graph, is_connected, is_hole_graph,
-                    is_triangle_free, hole_order, mask_of)
+from .graph import (Graph, biconnected_blocks, bits, find_claw, find_diamond,
+                    graph_json, induced_subgraph, is_clique_graph,
+                    is_clique_mask, is_connected, is_hole_graph,
+                    is_triangle_free, hole_order)
 from .oracle import ConfigWitness, is_pyramid
 
 Edge = tuple[int, int]
@@ -41,86 +41,73 @@ def line_graph(r: Graph) -> Graph:
     return Graph.derived(len(edges), rows)
 
 
-def _maximal_cliques(g: Graph) -> list[frozenset[int]]:
-    """The Krausz partition of a claw-free, diamond-free graph: its
-    maximal cliques {u, v} + (N(u) & N(v)), in order of first edge.
+def _krausz_partition(g: Graph) -> Optional[list[frozenset[int]]]:
+    """The first Krausz partition of g in search order, or None if g is
+    not a line graph.
 
-    Two non-adjacent common neighbours of an edge uv would close a
-    diamond, so every edge lies in exactly one maximal clique; a node in
-    three of them would centre a claw.  So these cliques partition the
-    edges with every node in at most two, and they are the partition
-    that _krausz_partition finds first (it covers the first uncovered
-    edge by its largest clique and never backtracks on such a graph).
+    Each step covers the first uncovered edge uv (lexicographic order) by
+    a candidate clique, largest first, then lexicographically first; an
+    explicit stack undoes choices.  With C = N(u) & N(v), the clique Q
+    covering uv is {u, v} + C - T with |T| <= 1, and T's node t has no
+    neighbour in Q - {u, v}: tu and tv lie in two more cliques, after
+    which u, v and t are each in two; a second such node would share both
+    with t, covering their edge twice, and an edge tq, q in Q - {u, v},
+    fits in neither (Q covers uq and vq) nor in a third clique at t.  So
+    an edge has at most two candidates and only dead branches are pruned.
+    On a claw-free, diamond-free g nothing is undone and the cliques are
+    the maximal ones.
     """
     adj = g._adj
-    covered = [0] * g.n
+    covered = [0] * g.n  # covered[w]: w's neighbours over covered edges
+    chosen: list[int] = []
+    stack: list[list] = []  # [u, candidates, next index, twice]
+    u = twice = 0  # twice: the nodes in two chosen cliques
+    while True:
+        while u < g.n and not adj[u] & ~covered[u] & -1 << (u + 1):
+            u += 1
+        if u == g.n:
+            return [frozenset(bits(q)) for q in chosen]
+        row = adj[u] & ~covered[u] & -1 << (u + 1)
+        cands = [q for q in _krausz_candidates(g, u, (row & -row).bit_length() - 1)
+                 if not q & twice and not any(covered[w] & q for w in bits(q))]
+        stack.append([u, cands, 0, twice])
+        while stack:
+            frame = stack[-1]
+            u, cands, i, twice = frame
+            if i:  # undo this frame's last choice
+                q = chosen.pop()
+                for w in bits(q):
+                    covered[w] ^= q ^ (1 << w)
+            if i < len(cands):
+                frame[2] = i + 1
+                q = cands[i]
+                for w in bits(q):
+                    if covered[w]:
+                        twice |= 1 << w
+                    covered[w] |= q ^ (1 << w)
+                chosen.append(q)
+                break
+            stack.pop()
+        else:
+            return None
+
+
+def _krausz_candidates(g: Graph, u: int, v: int) -> list[int]:
+    """The cliques that may cover edge uv in a Krausz partition of g, as
+    masks in search order: {u, v} + C when C = N(u) & N(v) is a clique
+    ({u, v} alone next when |C| = 1), else {u, v} + C - t for each t
+    that leaves a clique it has no edge to."""
+    adj = g._adj
+    uv = 1 << u | 1 << v
+    common = adj[u] & adj[v]
+    if is_clique_mask(g, common):
+        return [uv | common, uv] if common.bit_count() == 1 else [uv | common]
     out = []
-    for u in range(g.n):
-        todo = adj[u] & ~covered[u] & -1 << (u + 1)
-        while todo:
-            v = (todo & -todo).bit_length() - 1
-            clique = (1 << u) | (1 << v) | (adj[u] & adj[v])
-            nodes = bits(clique)
-            out.append(frozenset(nodes))
-            for w in nodes:
-                covered[w] |= clique
-            todo &= ~clique
+    for t in reversed(bits(common)):  # a larger t leaves a lex-smaller clique
+        rest = common & ~(1 << t)
+        if not adj[t] & rest and is_clique_mask(g, rest):
+            out.append(uv | rest)
     return out
-
-
-def _krausz_partition(g: Graph) -> Optional[list[frozenset[int]]]:
-    """Partition of the edges of g into cliques with every node in at
-    most two of them, or None if impossible (g is not a line graph)."""
-    edges = g.edges()
-    edge_index = {e: i for i, e in enumerate(edges)}
-    uncovered = set(range(len(edges)))
-    clique_count = [0] * g.n
-    chosen: list[frozenset[int]] = []
-
-    def clique_edges(nodes: tuple[int, ...]) -> list[int]:
-        out = []
-        for a, b in combinations(nodes, 2):
-            out.append(edge_index[(a, b) if a < b else (b, a)])
-        return out
-
-    def candidates(u: int, v: int) -> list[tuple[int, ...]]:
-        common = mask_of(w for w in bits(g.adj_mask(u) & g.adj_mask(v))
-                         if clique_count[w] < 2)
-        extras = [()] + [tuple(bits(c)) for c in cliques(g, common)]
-        options: list[tuple[int, ...]] = []
-        for extra in sorted(extras, key=lambda t: (-len(t), t)):
-            nodes = tuple(sorted((u, v) + extra))
-            es = clique_edges(nodes)
-            if any(e not in uncovered for e in es):
-                continue
-            options.append(nodes)
-        return options
-
-    def solve() -> bool:
-        if not uncovered:
-            return True
-        i = min(uncovered)
-        u, v = edges[i]
-        if clique_count[u] >= 2 or clique_count[v] >= 2:
-            return False
-        for nodes in candidates(u, v):
-            es = clique_edges(nodes)
-            for e in es:
-                uncovered.discard(e)
-            for w in nodes:
-                clique_count[w] += 1
-            chosen.append(frozenset(nodes))
-            if solve():
-                return True
-            chosen.pop()
-            for w in nodes:
-                clique_count[w] -= 1
-            uncovered.update(es)
-        return False
-
-    if not solve():
-        return None
-    return chosen
 
 
 def _root_with_edge_map(g: Graph, part: list[frozenset[int]]) -> tuple[Graph, list[Edge]]:
@@ -152,13 +139,8 @@ def root_graph(g: Graph) -> Optional[Graph]:
     claw)."""
     if find_claw(g) is not None:
         return None  # line graphs are claw-free
-    if find_diamond(g) is None:
-        part = _maximal_cliques(g)
-    else:
-        part = _krausz_partition(g)
-        if part is None:
-            return None
-    return _root_with_edge_map(g, part)[0]
+    part = _krausz_partition(g)
+    return None if part is None else _root_with_edge_map(g, part)[0]
 
 
 def is_chordless_graph(r: Graph) -> bool:
@@ -193,7 +175,7 @@ def is_lg_tf_chordless(g: Graph) -> Optional[Graph]:
     # free line graphs, so an induced claw or diamond settles it early
     if find_claw(g) is not None or find_diamond(g) is not None:
         return None
-    root = _root_with_edge_map(g, _maximal_cliques(g))[0]
+    root = _root_with_edge_map(g, _krausz_partition(g))[0]
     if not is_triangle_free(root):
         return None
     if not is_chordless_graph(root):
@@ -366,16 +348,15 @@ def _pyramid_basic_via(g: Graph, x: int, y: int) -> Optional[LabeledSafeTree]:
     h, h_map = induced_subgraph(g, rest)
     if not is_connected(h):
         return None
-    # a tree root leaves h diamond-free, so h needs no Krausz search
+    # the line graph of a tree is claw-free and diamond-free, and every
+    # such graph has a Krausz partition
     if find_claw(h) is not None or find_diamond(h) is not None:
         return None
-    root, edge_of = _root_with_edge_map(h, _maximal_cliques(h))
+    root, edge_of = _root_with_edge_map(h, _krausz_partition(h))
     if not is_tree_graph(root):
         return None
     pend = set(pendant_edges(root))
     if len(pend) < 2:
-        return None
-    if not is_safe_tree(root):
         return None
     pos = {old: i for i, old in enumerate(h_map)}
     x_nodes = {pos[v] for v in bits(g.adj_mask(x)) if v != y}
@@ -404,9 +385,6 @@ def _pyramid_basic_via(g: Graph, x: int, y: int) -> Optional[LabeledSafeTree]:
 
 
 # -- combined classification --------------------------------------------------
-
-BASIC_CLASSES = ("clique", "hole", "long-pyramid", "pyramid-basic",
-                 "lg-tf-chordless")
 
 ONLY_PYRAMID_BASIC = ("clique", "hole", "long-pyramid", "pyramid-basic")
 

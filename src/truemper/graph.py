@@ -89,18 +89,23 @@ class Graph:
         return Graph.derived(n, rows)
 
     # -- elementary queries ----------------------------------------------
+    # each refuses a negative id, which would read the rows from the end
 
     def adj_mask(self, v: int) -> int:
+        if v < 0:
+            raise IndexError(f"node {v} not in graph")
         return self._adj[v]
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(_bits(self._adj[v]))
+        return tuple(_bits(self.adj_mask(v)))
 
     def degree(self, v: int) -> int:
-        return self._adj[v].bit_count()
+        return self.adj_mask(v).bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self._adj[u] & (1 << v))
+        if u < 0 or v < 0:
+            raise IndexError(f"node {min(u, v)} not in graph")
+        return bool(self._adj[u] >> v & 1)
 
     def edges(self) -> list[tuple[int, int]]:
         out = []
@@ -273,8 +278,11 @@ def biconnected_blocks(g: Graph) -> list[frozenset[tuple[int, int]]]:
 # -- paths and cycles as node sequences -------------------------------------
 
 def is_path_sequence(g: Graph, nodes: Sequence[int]) -> bool:
-    """True iff nodes lists a path: distinct nodes, consecutive adjacent."""
+    """True iff nodes lists a path: distinct nodes of g, consecutive
+    adjacent."""
     if len(set(nodes)) != len(nodes) or not nodes:
+        return False
+    if not all(0 <= v < g.n for v in nodes):
         return False
     return all(g.has_edge(nodes[i], nodes[i + 1]) for i in range(len(nodes) - 1))
 

@@ -38,14 +38,6 @@ class TwoJoinSplit:
     B1: frozenset[int]
     B2: frozenset[int]
 
-    @property
-    def C1(self) -> frozenset[int]:
-        return self.X1 - self.A1 - self.B1
-
-    @property
-    def C2(self) -> frozenset[int]:
-        return self.X2 - self.A2 - self.B2
-
     def to_json(self) -> dict:
         return {name: sorted(getattr(self, name))
                 for name in ("X1", "X2", "A1", "A2", "B1", "B2")}
@@ -229,6 +221,7 @@ def find_2join(g: Graph) -> Optional[TwoJoinSplit]:
         return None  # both sides need three nodes
     if is_clique_graph(g) or is_hole_graph(g):
         return None  # neither admits a 2-join (one bundle / path-side clauses)
+    adj = g._adj
     edges = g.edges()
     stalled = []
     for i, ea in enumerate(edges):
@@ -237,7 +230,7 @@ def find_2join(g: Graph) -> Optional[TwoJoinSplit]:
                 continue
             for a1, a2 in (ea, ea[::-1]):
                 for b1, b2 in (eb, eb[::-1]):
-                    if g.has_edge(a1, b2) or g.has_edge(b1, a2):
+                    if adj[a1] >> b2 & 1 or adj[b1] >> a2 & 1:
                         continue
                     split, x1 = _closure(g, a1, a2, b1, b2, 0)
                     if split is not None:

@@ -16,8 +16,8 @@ from truemper.oracle import contains_config, scan_configs
 
 from util import (all_graphs, assert_revalidates, gnp_graphs, is_isomorphic,
                   random_graph, reference_is_chordless_graph,
-                  reference_is_lg_tf_chordless, reference_root_graph,
-                  tf_chordless_line_graphs)
+                  reference_is_lg_tf_chordless, reference_krausz_partition,
+                  reference_root_graph, tf_chordless_line_graphs)
 
 
 def small_graphs():
@@ -106,6 +106,36 @@ class TestRootGraph:
         for g in list(reference_corpus()) + line_graphs:
             assert root_graph(g) == reference_root_graph(g), g.edges()
 
+    def test_partition_matches_the_clique_enumerating_search(self):
+        # the bounded candidates prune only branches that cannot complete,
+        # so the first partition found, cliques and order, is the same;
+        # shuffled ids put diamonds in line graphs and make both backtrack
+        rng = random.Random(64)
+        line_graphs = []
+        for _ in range(400):
+            lg = line_graph(random_graph(rng, rng.randint(3, 9), 0.6))
+            perm = list(range(lg.n))
+            rng.shuffle(perm)
+            line_graphs.append(Graph.from_edge_list(
+                lg.n, [(perm[u], perm[v]) for u, v in lg.edges()]))
+        assert sum(find_diamond(g) is not None for g in line_graphs) >= 200
+        for g in list(reference_corpus()) + line_graphs:
+            assert _krausz_partition(g) == reference_krausz_partition(g), g.edges()
+
+    @pytest.mark.parametrize("k", [40, 200])
+    def test_star_with_a_leaf_edge_at_scale(self, k):
+        # every common neighbourhood of L(K_1,k + leaf edge) but one is a
+        # large clique, which the clique-enumerating search expands into
+        # every subset; never run that search on it
+        star = Graph.from_edge_list(k + 1, [(0, i) for i in range(1, k + 1)]
+                                    + [(1, 2)])
+        g = line_graph(star)
+        root, edge_of = _root_with_edge_map(g, _krausz_partition(g))
+        assert len(set(edge_of)) == g.n == root.m
+        for a, b in combinations(range(g.n), 2):
+            assert g.has_edge(a, b) == bool(set(edge_of[a]) & set(edge_of[b]))
+        assert root.n == k + 1
+
     def test_diamond_rules_out_a_tree_root(self):
         # pyramid-basic recognition refuses G - {x, y} with a diamond
         # without a root search: no Krausz root of it is a tree
@@ -118,8 +148,9 @@ class TestRootGraph:
                 assert root.m != root.n - 1 or len(components_masks(root)) > 1
 
     def test_no_root_has_a_triangle_component(self):
-        # both partition routes cover a K3 component of g by one 3-clique,
-        # so its root is a claw and no triangle is ever left to replace
+        # the Krausz search covers a K3 component of g by one 3-clique, so
+        # its root is a claw and no triangle is ever left to replace; a
+        # diamond elsewhere in g makes the search backtrack
         rng = random.Random(65)
         line_graphs = []
         for _ in range(300):

@@ -47,6 +47,17 @@ class TestFromEdgeList:
         with pytest.raises(ValueError, match="adjacency rows"):
             Graph(3, [2, 1])
 
+    def test_negative_node_refused(self):
+        # edge 1-2 only: a negative id must not read node 2 or 1 from the end
+        g = Graph.from_edge_list(3, [(1, 2)])
+        for query in (lambda: g.has_edge(-1, 1), lambda: g.has_edge(1, -1),
+                      lambda: g.neighbors(-1), lambda: g.degree(-1),
+                      lambda: g.adj_mask(-1)):
+            with pytest.raises(IndexError, match="node -1 not in graph"):
+                query()
+        with pytest.raises(IndexError, match="node -2 not in graph"):
+            g.neighbors(-2)
+
 
 class TestInducedSubgraph:
     def test_k4_to_triangle(self):
@@ -321,6 +332,17 @@ class TestNodeSequences:
         assert not is_chordless_cycle_sequence(K4, [0, 1, 2, 3])
         dia = Graph.from_edge_list(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
         assert not is_chordless_cycle_sequence(dia, [2, 0, 3, 1])
+
+    def test_ids_outside_the_graph_are_no_sequence(self):
+        from truemper.graph import (is_chordless_cycle_sequence,
+                                    is_chordless_path_sequence,
+                                    is_path_sequence)
+        g = Graph.from_edge_list(3, [(1, 2)])
+        for nodes in ([-1, 1], [1, -1], [-2], [1, 3], [3, 1], [1, 2, 3]):
+            assert not is_path_sequence(g, nodes), nodes
+            assert not is_chordless_path_sequence(g, nodes), nodes
+        for nodes in ([0, 1, 2, -1], [1, -1, 2], [-3, -2, -1], [0, 1, 5]):
+            assert not is_chordless_cycle_sequence(C5, nodes), nodes
 
 
 def test_every_small_graph_round_trips_through_text():

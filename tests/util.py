@@ -1,8 +1,8 @@
 """Shared helpers for the test suite: exhaustive small-graph enumeration,
 a small-n isomorphism check, an independent template-based oracle for
 the four configurations, and the plain versions of the claw and diamond
-finders, the chord test and the root search that the library's bitset
-and maximal-clique versions must match exactly."""
+finders, the chord test and the clique-enumerating root search that the
+library's bitset and bounded-candidate versions must match exactly."""
 
 from __future__ import annotations
 
@@ -11,11 +11,10 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
-from truemper.basic import (_krausz_partition, _root_with_edge_map,
-                            line_graph)
+from truemper.basic import _root_with_edge_map, line_graph
 from truemper.gen import random_tf_chordless
-from truemper.graph import (Graph, biconnected_blocks, bits, is_triangle_free,
-                            mask_of)
+from truemper.graph import (Graph, biconnected_blocks, bits, cliques,
+                            is_triangle_free, mask_of)
 
 PAIRS = {n: list(combinations(range(n), 2)) for n in range(0, 13)}
 
@@ -289,11 +288,70 @@ def reference_is_chordless_graph(r: Graph) -> bool:
     return True
 
 
+def reference_krausz_partition(g: Graph) -> Optional[list[frozenset[int]]]:
+    """Partition of the edges of g into cliques with every node in at
+    most two of them, or None if impossible (g is not a line graph).
+
+    Covers the first uncovered edge uv by every clique among the common
+    neighbours of u and v, largest first, then lexicographically first,
+    recursing on each.  Exponential in the degree: keep inputs small."""
+    edges = g.edges()
+    edge_index = {e: i for i, e in enumerate(edges)}
+    uncovered = set(range(len(edges)))
+    clique_count = [0] * g.n
+    chosen: list[frozenset[int]] = []
+
+    def clique_edges(nodes: tuple[int, ...]) -> list[int]:
+        out = []
+        for a, b in combinations(nodes, 2):
+            out.append(edge_index[(a, b) if a < b else (b, a)])
+        return out
+
+    def candidates(u: int, v: int) -> list[tuple[int, ...]]:
+        common = mask_of(w for w in bits(g.adj_mask(u) & g.adj_mask(v))
+                         if clique_count[w] < 2)
+        extras = [()] + [tuple(bits(c)) for c in cliques(g, common)]
+        options: list[tuple[int, ...]] = []
+        for extra in sorted(extras, key=lambda t: (-len(t), t)):
+            nodes = tuple(sorted((u, v) + extra))
+            es = clique_edges(nodes)
+            if any(e not in uncovered for e in es):
+                continue
+            options.append(nodes)
+        return options
+
+    def solve() -> bool:
+        if not uncovered:
+            return True
+        i = min(uncovered)
+        u, v = edges[i]
+        if clique_count[u] >= 2 or clique_count[v] >= 2:
+            return False
+        for nodes in candidates(u, v):
+            es = clique_edges(nodes)
+            for e in es:
+                uncovered.discard(e)
+            for w in nodes:
+                clique_count[w] += 1
+            chosen.append(frozenset(nodes))
+            if solve():
+                return True
+            chosen.pop()
+            for w in nodes:
+                clique_count[w] -= 1
+            uncovered.update(es)
+        return False
+
+    if not solve():
+        return None
+    return chosen
+
+
 def reference_root_graph(g: Graph) -> Optional[Graph]:
-    """Root from the backtracking Krausz search on every input."""
+    """Root from the clique-enumerating Krausz search on every input."""
     if reference_find_claw(g) is not None:
         return None
-    part = _krausz_partition(g)
+    part = reference_krausz_partition(g)
     return None if part is None else _root_with_edge_map(g, part)[0]
 
 

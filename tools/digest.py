@@ -16,7 +16,11 @@ Corpora (fixed seeds, so the same library gives the same lines):
           random triangle-free chordless graphs, and planted
           configurations of every kind (300 graphs);
 * gen:    synthesized only-prism and only-pyramid members and planted
-          configurations of every kind (150 graphs).
+          configurations of every kind (150 graphs);
+* roots:  line graphs of seeded G(n, p) with n = 4..9, node ids shuffled,
+          so that diamonds make the Krausz search backtrack, and seeded
+          claw-free G(n, p) with n = 6..11, mostly not line graphs (2000
+          graphs).
 
 For the first three corpora the hash covers, per graph, the three
 recognizers' ``to_json()`` at witness cap 14, the clique-cutset and
@@ -26,7 +30,9 @@ covers the generated graph, its recipe JSON and the graph the recipe
 replays to, and, at every internal node of the 2-join tree of every
 clique-cutset leaf, both ``blocks_of_2join`` blocks with their origin
 maps and their recomposition along the blocks' marker paths (the last
-three nodes of each).  Each line reads ``<corpus> <graphs> <sha256>``.
+three nodes of each).  For roots it covers ``root_graph``, the root edge
+map of the Krausz partition, ``is_lg_tf_chordless`` and
+``classify_basic``.  Each line reads ``<corpus> <graphs> <sha256>``.
 """
 
 from __future__ import annotations
@@ -38,7 +44,9 @@ import sys
 from itertools import combinations
 from typing import Iterator
 
-from truemper.basic import is_lg_tf_chordless, line_graph, root_graph
+from truemper.basic import (_krausz_partition, _root_with_edge_map,
+                            classify_basic, is_lg_tf_chordless, line_graph,
+                            root_graph)
 from truemper.cutset import clique_decomposition_tree
 from truemper.gen import (plant_configuration, random_tf_chordless,
                           replay_recipe, synth_only_prism, synth_only_pyramid)
@@ -82,6 +90,31 @@ def synth_graphs() -> Iterator[Graph]:
         yield plant_configuration(i, KINDS[i % len(KINDS)], 10 + i % 11)
 
 
+def _relabeled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def root_cases() -> Iterator[Graph]:
+    rng = random.Random("digest:roots")
+    for _ in range(1500):
+        n = rng.randint(4, 9)
+        p = rng.choice((0.4, 0.6, 0.8))
+        base = Graph.from_edge_list(
+            n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        yield _relabeled(line_graph(base), rng)
+    kept = 0
+    while kept < 500:
+        n = rng.randint(6, 11)
+        p = rng.choice((0.6, 0.75, 0.9))
+        g = Graph.from_edge_list(
+            n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        if find_claw(g) is None:
+            kept += 1
+            yield g
+
+
 def gen_cases() -> Iterator[tuple[Graph, object]]:
     """(graph, recipe or None) pairs."""
     for i in range(50):
@@ -115,19 +148,17 @@ def outputs(g: Graph) -> str:
     ])
 
 
-def _compose_blocks(b1: Graph, b2: Graph):
-    """compose_2join_with_split on two blocks along their marker paths."""
-    m1, m2 = (b1.n - 3, b1.n - 2, b1.n - 1), (b2.n - 3, b2.n - 2, b2.n - 1)
-    if "tags" not in Graph.__slots__:
-        return compose_2join_with_split(b1, m1, b2, m2)
-    # a library whose composition finds the marker path by node tags, so
-    # that an exported copy of such a commit gives a comparable digest
-    from truemper.twojoin import MARKER_TAGS
-
-    def tagged(b: Graph) -> Graph:
-        return b.with_tags([None] * (b.n - 3) + list(MARKER_TAGS))
-
-    return compose_2join_with_split(tagged(b1), tagged(b2))
+def root_outputs(g: Graph) -> str:
+    """root_graph, the Krausz partition's root edge map,
+    is_lg_tf_chordless and classify_basic of one graph, as one JSON
+    text."""
+    part = _krausz_partition(g)
+    return json.dumps([
+        _graph_or_none(root_graph(g)),
+        None if part is None else _root_with_edge_map(g, part)[1],
+        _graph_or_none(is_lg_tf_chordless(g)),
+        classify_basic(g).to_json(),
+    ])
 
 
 def gen_outputs(case: tuple[Graph, object]) -> str:
@@ -145,14 +176,17 @@ def gen_outputs(case: tuple[Graph, object]) -> str:
             if node.is_leaf:
                 continue
             (b1, map1), (b2, map2) = blocks_of_2join(node.graph, node.split)
-            composed, split = _compose_blocks(b1, b2)
+            composed, split = compose_2join_with_split(
+                b1, (b1.n - 3, b1.n - 2, b1.n - 1),
+                b2, (b2.n - 3, b2.n - 2, b2.n - 1))
             out += [graph_json(b1), map1, graph_json(b2), map2,
                     graph_json(composed), split.to_json()]
     return json.dumps(out)
 
 
 CORPORA = (("small", small_graphs, outputs), ("gnp", gnp_graphs, outputs),
-           ("synth", synth_graphs, outputs), ("gen", gen_cases, gen_outputs))
+           ("synth", synth_graphs, outputs), ("gen", gen_cases, gen_outputs),
+           ("roots", root_cases, root_outputs))
 
 
 def main() -> int:
