@@ -89,10 +89,11 @@ class Graph:
         return Graph.derived(n, rows)
 
     # -- elementary queries ----------------------------------------------
-    # each refuses a negative id, which would read the rows from the end
+    # each refuses an id outside 0..n-1 by name (a negative id would
+    # otherwise read the rows from the end)
 
     def adj_mask(self, v: int) -> int:
-        if v < 0:
+        if not 0 <= v < self.n:
             raise IndexError(f"node {v} not in graph")
         return self._adj[v]
 
@@ -103,8 +104,9 @@ class Graph:
         return self.adj_mask(v).bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u < 0 or v < 0:
-            raise IndexError(f"node {min(u, v)} not in graph")
+        n = self.n
+        if not (0 <= u < n and 0 <= v < n):
+            raise IndexError(f"node {v if 0 <= u < n else u} not in graph")
         return bool(self._adj[u] >> v & 1)
 
     def edges(self) -> list[tuple[int, int]]:

@@ -186,18 +186,25 @@ def find_2join(g: Graph) -> Optional[TwoJoinSplit]:
     """A valid 2-join split of g, or None if none exists.
 
     A seed (a1, a2, b1, b2) is a pair of disjoint edges a1a2, b1b2 with
-    a1b2 and b1a2 non-edges.  Each seed, in lexicographic order, is
-    closed by _closure; then each stalled seed is closed again with one
-    extra node c, for every c outside its closure in ascending order (a
-    c inside it would rebuild the same closure).  The first closure that
-    validate_split accepts is returned, so every answer is checked and
-    the result is deterministic.
+    a1b2 and b1a2 non-edges.  Each seed, in lexicographic order, grows
+    X1 from {a1, b1} to its forcing fixpoint (see _closure), with a2 and
+    b2 pinned in X2.  Then each stalled seed is closed again with one
+    extra node c, for every c outside its fixpoint and the pins in
+    ascending order; the retry resumes from the seed's fixpoint plus c,
+    which reaches the same fixpoint as a fresh closure from {a1, b1, c}
+    because forcing is monotone.  The retry pass walks the seeds again
+    and recomputes each fixpoint rather than keeping one per seed, so
+    the search needs O(m) memory, not O(m^2).  A c in N(a2) & N(b2) is
+    skipped: it would make A1 meet B1 at once.  The first fixpoint that
+    validate_split accepts, with A1 = N(a2) & X1, B1 = N(b2) & X1,
+    A2 = N(a1) - X1 and B2 = N(b1) - X1, is returned, so every answer is
+    checked and the result is deterministic.
 
     Completeness, for a 2-join (X1, X2, A1, A2, B1, B2) and a seed with
     a_i in A_i and b_i in B_i.  Proven:
       - With extra inside X1, every node of X2 fits its A2/B2/C2 pattern
         against any subset of X1 that holds a1 and b1.  So the closure
-        X1' never forces a2 or b2, never makes A1 meet B1 and stays
+        X1' never forces a node of X2, never makes A1 meet B1 and stays
         inside X1: the seed validates or stalls, it never contradicts.
         Once |X1'| >= 3, X1' gives an almost 2-join with A1' = A1 & X1'
         and B1' = B1 & X1'.
@@ -222,78 +229,108 @@ def find_2join(g: Graph) -> Optional[TwoJoinSplit]:
     if is_clique_graph(g) or is_hole_graph(g):
         return None  # neither admits a 2-join (one bundle / path-side clauses)
     adj = g._adj
-    edges = g.edges()
-    stalled = []
-    for i, ea in enumerate(edges):
-        for eb in edges[i + 1:]:
-            if set(ea) & set(eb):
-                continue
-            for a1, a2 in (ea, ea[::-1]):
-                for b1, b2 in (eb, eb[::-1]):
-                    if adj[a1] >> b2 & 1 or adj[b1] >> a2 & 1:
-                        continue
-                    split, x1 = _closure(g, a1, a2, b1, b2, 0)
-                    if split is not None:
-                        return split
-                    if x1:
-                        stalled.append((a1, a2, b1, b2, x1))
-    for a1, a2, b1, b2, x1 in stalled:
-        # c inside the stalled closure would only rebuild it
-        for c in bits(g.full_mask() & ~x1 & ~(1 << a2) & ~(1 << b2)):
-            split, _ = _closure(g, a1, a2, b1, b2, 1 << c)
-            if split is not None:
-                return split
+    full = g.full_mask()
+    for a1, a2, b1, b2, x1 in _fixpoints(g):
+        x2 = full & ~x1
+        if x1.bit_count() < 3 or x2.bit_count() < 3:
+            continue
+        split = _split_of_masks(x1, x2, adj[a2] & x1, adj[a1] & x2,
+                                adj[b2] & x1, adj[b1] & x2)
+        if validate_split(g, split, mode="full"):
+            return split
     return None
 
 
-def _closure(g: Graph, a1: int, a2: int, b1: int, b2: int,
-             extra: int) -> tuple[Optional[TwoJoinSplit], int]:
-    """Grow X1 from {a1, b1} + extra by forcing, with a2, b2 pinned in X2.
-
-    A node sitting in X2 must look like an A2 node (adjacent to a1, side-1
-    neighborhood exactly N(a2) & X1), a B2 node, or a C2 node (no side-1
-    neighbors); anything else is forced across.  A node that does not fit
-    against X1 does not fit against any superset of it either, so starting
-    from any set between the start and the fixpoint gives the same
-    fixpoint.  Returns (split, x1): the split when the fixpoint validates
-    as a full 2-join, else None; x1 is the fixpoint as a mask, or 0 on a
-    contradiction (a pinned node forced across, or A1 meeting B1).
-    """
+def _seeds(g: Graph) -> Iterator[tuple[int, int, int, int]]:
+    """Every seed (a1, a2, b1, b2) in find_2join's order."""
     adj = g._adj
-    n = g.n
-    pin2 = (1 << a2) | (1 << b2)
-    x1 = (1 << a1) | (1 << b1) | extra
-    if x1 & pin2:
-        return None, 0
-    na1, nb1 = adj[a1], adj[b1]
-    forced = True
-    while forced:
-        a1s = adj[a2] & x1
-        b1s = adj[b2] & x1
-        if a1s & b1s:
-            return None, 0
-        forced = 0
-        for v in range(n):
-            vb = 1 << v
-            if x1 & vb:
+    edges = g.edges()
+    for i, (u, v) in enumerate(edges):
+        for eb in edges[i + 1:]:
+            if u in eb or v in eb:
                 continue
-            pat = adj[v] & x1
-            if na1 & vb:
-                if nb1 & vb or pat != a1s:
-                    forced |= vb
-            elif nb1 & vb:
-                if pat != b1s:
-                    forced |= vb
-            elif pat:
-                forced |= vb
-        if forced & pin2:
-            return None, 0
-        x1 |= forced
-    x2 = g.full_mask() & ~x1
-    if x1.bit_count() < 3 or x2.bit_count() < 3:
-        return None, x1
-    split = _split_of_masks(x1, x2, a1s, adj[a1] & x2, b1s, adj[b1] & x2)
-    return (split if validate_split(g, split, mode="full") else None), x1
+            for a1, a2 in ((u, v), (v, u)):
+                for b1, b2 in (eb, eb[::-1]):
+                    if not (adj[a1] >> b2 & 1 or adj[b1] >> a2 & 1):
+                        yield a1, a2, b1, b2
+
+
+def _fixpoints(g: Graph) -> Iterator[tuple[int, int, int, int, int]]:
+    """(a1, a2, b1, b2, x1) for every closure find_2join runs that does
+    not contradict, in its order: each seed's fixpoint, then each
+    stalled seed's retries by ascending extra node.  The consumer stops
+    at the first fixpoint that validates, so every seed that reaches the
+    retry pass has stalled."""
+    adj = g._adj
+    start = (0, -1, 0, -1, 0)  # empty X1: the intersections are all ones
+    for a1, a2, b1, b2 in _seeds(g):
+        state = _closure(adj, adj[a2], adj[b2], start, (1 << a1) | (1 << b1))
+        if state is not None:
+            yield a1, a2, b1, b2, state[0]
+    full = g.full_mask()
+    for a1, a2, b1, b2 in _seeds(g):
+        na2, nb2 = adj[a2], adj[b2]
+        state = _closure(adj, na2, nb2, start, (1 << a1) | (1 << b1))
+        if state is None:
+            continue
+        x1 = state[0]
+        # c inside the fixpoint would only rebuild it; c in N(a2) & N(b2)
+        # would make A1 meet B1 at once
+        for c in bits(full & ~x1 & ~(1 << a2) & ~(1 << b2) & ~(na2 & nb2)):
+            fixpoint = _closure(adj, na2, nb2, state, 1 << c)
+            if fixpoint is not None:
+                yield a1, a2, b1, b2, fixpoint[0]
+
+
+def _closure(adj: tuple[int, ...], na2: int, nb2: int,
+             state: tuple[int, int, int, int, int],
+             add: int) -> Optional[tuple[int, int, int, int, int]]:
+    """Add the nodes of add to X1 and grow it to its forcing fixpoint,
+    with a2 and b2 (rows na2, nb2) pinned in X2.
+
+    A node v sitting in X2 must look like an A2 node (side-1
+    neighbourhood exactly A1' = N(a2) & X1), a B2 node (exactly
+    B1' = N(b2) & X1) or a C2 node (no side-1 neighbour); anything else
+    is forced across.  The rule depends only on the pins: for a seed,
+    a1 is in A1' and not in B1', and b1 the other way round, so the
+    classic case split on N(a1) and N(b1) adds nothing.  In mask form, v
+    fits A iff it lies in the intersection of the rows of A1' and
+    outside the union of the rows of X1 - A1'; likewise for B; and v
+    fits C iff it lies outside the union of the rows of X1, which is
+    the union of the two outside masks because A1' and B1' are disjoint.
+    The state (x1, in_a, out_a, in_b, out_b) keeps these masks, and
+    since membership in A1' or B1' is fixed by the pins, each added node
+    costs one row update and each round a few mask operations.
+
+    The pins themselves always fit (a2 its A pattern, b2 its B pattern),
+    so the only contradiction is X1 meeting N(a2) & N(b2), which makes
+    A1' meet B1'; the nodes of add must avoid it, and a forced node in
+    it gives None.  A node that does not fit against X1 does not fit
+    against any superset of X1 either, so starting from any set between
+    the start and the fixpoint gives the same fixpoint: a stalled seed's
+    state can be resumed with one extra node.  Returns the fixpoint's
+    state, or None on a contradiction.
+    """
+    x1, in_a, out_a, in_b, out_b = state
+    both = na2 & nb2
+    while add:
+        x1 |= add
+        while add:
+            b = add & -add
+            row = adj[b.bit_length() - 1]
+            if na2 & b:
+                in_a &= row
+            else:
+                out_a |= row
+            if nb2 & b:
+                in_b &= row
+            else:
+                out_b |= row
+            add ^= b
+        add = (out_a | out_b) & ~(x1 | in_a & ~out_a | in_b & ~out_b)
+        if add & both:
+            return None
+    return x1, in_a, out_a, in_b, out_b
 
 
 def _split_of_masks(*masks: int) -> TwoJoinSplit:

@@ -58,6 +58,19 @@ class TestFromEdgeList:
         with pytest.raises(IndexError, match="node -2 not in graph"):
             g.neighbors(-2)
 
+    def test_upper_range_node_refused(self):
+        # either end of has_edge, and every row query, names the node
+        g = Graph.from_edge_list(3, [(1, 2)])
+        for query, bad in ((lambda: g.has_edge(0, 3), 3),
+                           (lambda: g.has_edge(3, 0), 3),
+                           (lambda: g.has_edge(4, 7), 4),
+                           (lambda: g.adj_mask(3), 3),
+                           (lambda: g.degree(5), 5),
+                           (lambda: g.neighbors(3), 3)):
+            with pytest.raises(IndexError, match=f"node {bad} not in graph"):
+                query()
+        assert g.has_edge(2, 1) and not g.has_edge(0, 2)
+
 
 class TestInducedSubgraph:
     def test_k4_to_triangle(self):

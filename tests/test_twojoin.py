@@ -5,19 +5,21 @@ from pathlib import Path
 import pytest
 
 from truemper.cutset import clique_decomposition_tree, find_clique_cutset
-from truemper.gen import _marker_candidates, make_pyramid, synth_only_pyramid
+from truemper.gen import (_marker_candidates, make_pyramid, plant_configuration,
+                          synth_only_pyramid)
 from truemper.graph import Graph, bits, mask_of
-from truemper.oracle import scan_configs
+from truemper.oracle import KINDS, scan_configs
 from truemper.recognize import recognize_only_pyramid
 from truemper.twojoin import (CONSISTENCY_CONDITIONS, TwoJoinSplit,
-                              _all_reach_avoiding,
+                              _all_reach_avoiding, _fixpoints,
                               all_2joins_brute, all_almost_2joins_brute,
                               blocks_of_2join, check_marker_precondition,
                               compose_2join, compose_2join_with_split,
                               find_2join, is_consistent,
                               two_join_decomposition_tree, validate_split)
 
-from util import assert_revalidates, is_isomorphic, random_graph
+from util import (all_graphs, assert_revalidates, gnp_graphs, is_isomorphic,
+                  random_graph, reference_fixpoints)
 
 
 def hole(k):
@@ -245,6 +247,41 @@ class TestFind2Join:
         split = find_2join(g)
         assert split is not None
         assert validate_split(g, split, "full").ok
+
+
+class TestClosure:
+    """The mask-algebra closure and its resumed retries against a fresh
+    per-node reference closure for every seed and every retry node."""
+
+    @staticmethod
+    def fixpoints_agree(g):
+        mine = list(_fixpoints(g))
+        assert mine == reference_fixpoints(g), g.edges()
+        for _a1, a2, _b1, b2, x1 in mine:
+            # the pins always fit their own pattern, so never cross
+            assert not x1 & ((1 << a2) | (1 << b2)), g.edges()
+        return len(mine)
+
+    def test_every_small_graph(self):
+        assert sum(self.fixpoints_agree(g)
+                   for n in range(7) for g in all_graphs(n)) > 600000
+
+    def test_gnp(self):
+        assert sum(map(self.fixpoints_agree, gnp_graphs(48, 600))) > 80000
+
+    def test_planted_configurations(self):
+        total = 0
+        for i in range(60):
+            g = plant_configuration(i, KINDS[i % len(KINDS)], 12 + i % 5)
+            total += self.fixpoints_agree(g)
+        assert total > 60000
+
+    def test_sparse_planted_2joins(self):
+        rng = random.Random(49)
+        total = 0
+        for _ in range(60):
+            total += self.fixpoints_agree(sparse_planted_2join(rng, rng.randint(11, 16)))
+        assert total > 120000
 
 
 class TestSizeLemma:

@@ -1,8 +1,9 @@
 """Shared helpers for the test suite: exhaustive small-graph enumeration,
 a small-n isomorphism check, an independent template-based oracle for
 the four configurations, and the plain versions of the claw and diamond
-finders, the chord test and the clique-enumerating root search that the
-library's bitset and bounded-candidate versions must match exactly."""
+finders, the chord test, the clique-enumerating root search and the
+per-node 2-join forcing closure that the library's bitset,
+bounded-candidate and mask-algebra versions must match exactly."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from truemper.basic import _root_with_edge_map, line_graph
 from truemper.gen import random_tf_chordless
 from truemper.graph import (Graph, biconnected_blocks, bits, cliques,
                             is_triangle_free, mask_of)
+from truemper.twojoin import TwoJoinSplit, _split_of_masks, validate_split
 
 PAIRS = {n: list(combinations(range(n), 2)) for n in range(0, 13)}
 
@@ -362,3 +364,84 @@ def reference_is_lg_tf_chordless(g: Graph) -> Optional[Graph]:
     if root is None or not is_triangle_free(root):
         return None
     return root if reference_is_chordless_graph(root) else None
+
+
+# -- the per-node 2-join forcing closure ---------------------------------------
+
+def reference_closure(g: Graph, a1: int, a2: int, b1: int, b2: int,
+                      extra: int) -> tuple[Optional[TwoJoinSplit], int]:
+    """Grow X1 from {a1, b1} + extra by forcing, with a2, b2 pinned in X2.
+
+    A node sitting in X2 must look like an A2 node (adjacent to a1, side-1
+    neighborhood exactly N(a2) & X1), a B2 node, or a C2 node (no side-1
+    neighbors); anything else is forced across.  A node that does not fit
+    against X1 does not fit against any superset of it either, so starting
+    from any set between the start and the fixpoint gives the same
+    fixpoint.  Returns (split, x1): the split when the fixpoint validates
+    as a full 2-join, else None; x1 is the fixpoint as a mask, or 0 on a
+    contradiction (a pinned node forced across, or A1 meeting B1).
+    """
+    adj = g._adj
+    n = g.n
+    pin2 = (1 << a2) | (1 << b2)
+    x1 = (1 << a1) | (1 << b1) | extra
+    if x1 & pin2:
+        return None, 0
+    na1, nb1 = adj[a1], adj[b1]
+    forced = True
+    while forced:
+        a1s = adj[a2] & x1
+        b1s = adj[b2] & x1
+        if a1s & b1s:
+            return None, 0
+        forced = 0
+        for v in range(n):
+            vb = 1 << v
+            if x1 & vb:
+                continue
+            pat = adj[v] & x1
+            if na1 & vb:
+                if nb1 & vb or pat != a1s:
+                    forced |= vb
+            elif nb1 & vb:
+                if pat != b1s:
+                    forced |= vb
+            elif pat:
+                forced |= vb
+        if forced & pin2:
+            return None, 0
+        x1 |= forced
+    x2 = g.full_mask() & ~x1
+    if x1.bit_count() < 3 or x2.bit_count() < 3:
+        return None, x1
+    split = _split_of_masks(x1, x2, a1s, adj[a1] & x2, b1s, adj[b1] & x2)
+    return (split if validate_split(g, split, mode="full") else None), x1
+
+
+def reference_fixpoints(g: Graph) -> list[tuple[int, int, int, int, int]]:
+    """(a1, a2, b1, b2, x1) for every seed closure and every retry of a
+    stalled seed with one extra node c outside its fixpoint and the pins,
+    each by a fresh reference_closure from {a1, b1, c}, in seed order and
+    then retry order; contradictions (x1 = 0) are left out."""
+    adj = g._adj
+    edges = g.edges()
+    out = []
+    stalled = []
+    for i, ea in enumerate(edges):
+        for eb in edges[i + 1:]:
+            if set(ea) & set(eb):
+                continue
+            for a1, a2 in (ea, ea[::-1]):
+                for b1, b2 in (eb, eb[::-1]):
+                    if adj[a1] >> b2 & 1 or adj[b1] >> a2 & 1:
+                        continue
+                    _, x1 = reference_closure(g, a1, a2, b1, b2, 0)
+                    if x1:
+                        out.append((a1, a2, b1, b2, x1))
+                        stalled.append((a1, a2, b1, b2, x1))
+    for a1, a2, b1, b2, x1 in stalled:
+        for c in bits(g.full_mask() & ~x1 & ~(1 << a2) & ~(1 << b2)):
+            _, y1 = reference_closure(g, a1, a2, b1, b2, 1 << c)
+            if y1:
+                out.append((a1, a2, b1, b2, y1))
+    return out

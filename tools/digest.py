@@ -21,6 +21,10 @@ Corpora (fixed seeds, so the same library gives the same lines):
           so that diamonds make the Krausz search backtrack, and seeded
           claw-free G(n, p) with n = 6..11, mostly not line graphs (2000
           graphs).
+* twojoin: planted configurations of every kind in 12- to 16-node
+          hosts and seeded sparse planted 2-joins with n = 11..16 (1800
+          graphs); on 111 of them the split comes from a stalled
+          seed's retry with an extra node.
 
 For the first three corpora the hash covers, per graph, the three
 recognizers' ``to_json()`` at witness cap 14, the clique-cutset and
@@ -32,7 +36,8 @@ clique-cutset leaf, both ``blocks_of_2join`` blocks with their origin
 maps and their recomposition along the blocks' marker paths (the last
 three nodes of each).  For roots it covers ``root_graph``, the root edge
 map of the Krausz partition, ``is_lg_tf_chordless`` and
-``classify_basic``.  Each line reads ``<corpus> <graphs> <sha256>``.
+``classify_basic``.  For twojoin it covers ``find_2join``'s split JSON,
+or null.  Each line reads ``<corpus> <graphs> <sha256>``.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ from truemper.oracle import KINDS
 from truemper.recognize import (recognize_only_prism, recognize_only_pyramid,
                                 recognize_universally_signable)
 from truemper.twojoin import (blocks_of_2join, compose_2join_with_split,
-                              two_join_decomposition_tree)
+                              find_2join, two_join_decomposition_tree)
 
 WITNESS_CAP = 14
 RECOGNIZERS = (recognize_only_prism, recognize_only_pyramid,
@@ -125,6 +130,42 @@ def gen_cases() -> Iterator[tuple[Graph, object]]:
         yield plant_configuration(i, KINDS[i % len(KINDS)], 10 + i % 21), None
 
 
+def _planted_2join(rng: random.Random, n: int) -> Graph:
+    """Two random trees, each sometimes with one extra edge, joined by
+    complete bundles between special sets of one or two nodes, sometimes
+    with one stray crossing edge; node ids shuffled."""
+    k = rng.randint(3, n - 3)
+    edges = set()
+    bundles = []
+    for side in (list(range(k)), list(range(k, n))):
+        for i in range(1, len(side)):
+            edges.add((rng.choice(side[:i]), side[i]))
+        if rng.random() < 0.3:
+            edges.add(tuple(sorted(rng.sample(side, 2))))
+        sizes = [2 if rng.random() < 0.2 else 1 for _ in range(2)]
+        pick = rng.sample(side, min(len(side), sum(sizes)))
+        bundles.append((pick[:len(pick) - sizes[1]], pick[len(pick) - sizes[1]:]))
+    (a1, b1), (a2, b2) = bundles
+    if rng.random() < 0.3:
+        edges.add((rng.randrange(k), rng.randrange(k, n)))
+    edges |= {(u, v) for u in a1 for v in a2} | {(u, v) for u in b1 for v in b2}
+    return _relabeled(Graph.from_edge_list(n, sorted(edges)), rng)
+
+
+def twojoin_graphs() -> Iterator[Graph]:
+    for i in range(200):
+        yield plant_configuration(i, KINDS[i % len(KINDS)], 12 + i % 5)
+    rng = random.Random("digest:twojoin")
+    for _ in range(1600):
+        yield _planted_2join(rng, rng.randint(11, 16))
+
+
+def twojoin_outputs(g: Graph) -> str:
+    """find_2join's split of one graph, as one JSON text."""
+    split = find_2join(g)
+    return json.dumps(None if split is None else split.to_json())
+
+
 def _graph_or_none(g) -> object:
     return None if g is None else graph_json(g)
 
@@ -186,7 +227,8 @@ def gen_outputs(case: tuple[Graph, object]) -> str:
 
 CORPORA = (("small", small_graphs, outputs), ("gnp", gnp_graphs, outputs),
            ("synth", synth_graphs, outputs), ("gen", gen_cases, gen_outputs),
-           ("roots", root_cases, root_outputs))
+           ("roots", root_cases, root_outputs),
+           ("twojoin", twojoin_graphs, twojoin_outputs))
 
 
 def main() -> int:
