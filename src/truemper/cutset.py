@@ -2,17 +2,24 @@
 
 A node cutset K is a clique cutset when K induces a clique; the empty
 set counts, so every disconnected graph has one.  find_clique_cutset
-returns a trimmed split (A, K, B): A is a full component of the removal,
-K = N(A) is exactly A's neighborhood, and B is everything else.  Among
-all candidates the one with the smallest A is chosen (ties broken by
-lexicographic node order).  When K is nonempty, minimizing |A|
-guarantees that the block G[A + K] has no clique cutset of its own, so
-the first child of such a split is a leaf.  A split with K empty
-separates a disconnected graph, and its first child G[A] may split
-further (two disjoint P3s give a root whose first child is internal), so
-the tree need not be a caterpillar.  It has at most n leaves either way:
-an empty K splits the n nodes between the children, and a nonempty K
-makes a leaf beside a child on n - |A| nodes.
+returns a split (A, K, B) with no edge between A and B.
+
+* A disconnected graph with k components splits with K empty and A the
+  union of its first k // 2 components (ordered by lowest node), so the
+  components are halved at each level and the tree over them is about
+  log2 k deep rather than a chain of k levels.  Both children may split
+  further (two disjoint P3s give a root whose first child is internal),
+  so the tree need not be a caterpillar.
+* A connected graph splits on a nonempty clique cutset: A is a full
+  component of the removal, K = N(A) is exactly A's neighborhood, and B
+  is everything else.  Among all candidates the one with the smallest A
+  is chosen (ties broken by lexicographic node order), which guarantees
+  that the block G[A + K] has no clique cutset of its own, so the first
+  child of such a split is a leaf.
+
+The tree has at most n leaves either way: an empty K splits the n nodes
+between the children, and a nonempty K makes a leaf beside a child on
+n - |A| nodes.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .decomp import INTERNAL, DecompNode, DecompTree
+from .decomp import INTERNAL, DecompNode, DecompTree, StepResult, decompose
 from .graph import (Graph, bits, cliques, components_masks, induced_subgraph,
                     is_clique_graph, mask_of)
 
@@ -74,16 +81,17 @@ def _component_candidates(g: Graph) -> Iterator[int]:
 def find_clique_cutset(g: Graph) -> Optional[CliqueSplit]:
     """A clique-cutset split of g, or None.
 
-    Disconnected graphs yield K = empty set with A the component holding
-    node 0.  Otherwise A is the smallest component over all clique
-    cutsets (lexicographically smallest on ties) and K is trimmed to
-    N(A); the minimal choice makes the block G[A + K] cutset-free.
+    A disconnected graph with k components yields K = empty set with A
+    the union of its first k // 2 components, ordered by lowest node.
+    Otherwise A is the smallest component over all clique cutsets
+    (lexicographically smallest on ties) and K is trimmed to N(A); the
+    minimal choice makes the block G[A + K] cutset-free.
     """
     if g.n <= 1:
         return None
     comps = components_masks(g)
     if len(comps) >= 2:
-        a_mask = comps[0]  # component containing node 0
+        a_mask = sum(comps[:len(comps) // 2])  # disjoint masks: sum = union
         b_mask = g.full_mask() & ~a_mask
         return CliqueSplit(frozenset(bits(a_mask)), frozenset(),
                            frozenset(bits(b_mask)))
@@ -125,25 +133,19 @@ def _dot_label(node: DecompNode) -> str:
     return f"n={node.graph.n} K={{{k}}}"
 
 
+def _clique_step(graph: Graph) -> StepResult:
+    split = find_clique_cutset(graph)
+    if split is None:
+        return DecompNode(graph, "leaf"), None
+    return DecompNode(graph, INTERNAL, split), blocks_of_clique_split(graph, split)
+
+
 def clique_decomposition_tree(g: Graph) -> DecompTree:
     """Decompose g along clique cutsets until no block has one.
 
     Every leaf satisfies find_clique_cutset(leaf) is None and the tree
     has at most n leaves.
     """
-    leaves: list[DecompNode] = []
-
-    def build(graph: Graph, origin: tuple[int, ...]) -> DecompNode:
-        split = find_clique_cutset(graph)
-        if split is None:
-            node = DecompNode(graph, "leaf", origin=origin)
-            leaves.append(node)
-            return node
-        (ga, map_a), (gb, map_b) = blocks_of_clique_split(graph, split)
-        child_a = build(ga, tuple(origin[v] for v in map_a))
-        child_b = build(gb, tuple(origin[v] for v in map_b))
-        return DecompNode(graph, INTERNAL, split, (child_a, child_b), origin)
-
-    root = build(g, tuple(range(g.n)))
+    root, leaves = decompose(g, _clique_step, tuple(range(g.n)))
     return DecompTree(root, leaves, {"tree": "clique-cutset"},
                       "clique_decomposition", _dot_label)

@@ -1,22 +1,32 @@
 """The binary decomposition tree shared by the clique-cutset and 2-join
 layers.
 
-Each layer decides the recursion (which split to take, when a node is
-a leaf) and its output conventions; it hands the conventions to
-DecompTree as data: the JSON keys written before the root, the DOT graph
-name and a node label function.  Node fields that a layer leaves unset
-(origin, failed_condition) are omitted from the JSON.
+decompose builds a tree from one step function per layer: a step
+decides whether a graph is a leaf or which split to take, and returns
+the node plus, for a split, its two blocks with their id maps.  Each
+layer hands its output conventions to DecompTree as data: the JSON keys
+written before the root, the DOT graph name and a node label function.
+Node fields that a layer leaves unset (origin, failed_condition) are
+omitted from the JSON.
+
+The builder and the writers are plain module-level functions, not
+nested closures: a closure that calls itself is a reference cycle, which
+would keep each call's whole tree alive until a cyclic collection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from .graph import Graph, graph_json
 
 INTERNAL = "internal"
+
+# One block of a split: the block graph and its map block id -> parent id
+# (a 2-join block's marker nodes map to None).
+Block = tuple[Graph, tuple[Optional[int], ...]]
 
 
 @dataclass
@@ -68,15 +78,49 @@ class DecompTree:
 
     def to_dot(self) -> str:
         lines = [f"graph {self.dot_name} {{", "  node [shape=box];"]
-        ids = count()
-
-        def walk(node: DecompNode) -> int:
-            idx = next(ids)
-            lines.append(f'  v{idx} [label="{self.label(node)}"];')
-            for child in node.children:
-                lines.append(f"  v{idx} -- v{walk(child)};")
-            return idx
-
-        walk(self.root)
+        _dot_lines(self.root, self.label, lines, count())
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _dot_lines(node: DecompNode, label: Callable[[DecompNode], str],
+               lines: list[str], ids: Iterator[int]) -> int:
+    """Append the DOT lines of node's subtree (preorder ids, each edge
+    after its child's subtree); return node's id."""
+    idx = next(ids)
+    lines.append(f'  v{idx} [label="{label(node)}"];')
+    for child in node.children:
+        lines.append(f"  v{idx} -- v{_dot_lines(child, label, lines, ids)};")
+    return idx
+
+
+StepResult = tuple[DecompNode, Optional[tuple[Block, Block]]]
+
+
+def decompose(graph: Graph, step: Callable[[Graph], StepResult],
+              origin: Optional[tuple[int, ...]]) -> tuple[DecompNode, list[DecompNode]]:
+    """The tree that step grows from graph, and its leaves left to right.
+
+    step(graph) returns a node without children, plus None for a leaf or
+    the two blocks of its split, which are decomposed in order.  With an
+    origin map (node id -> root id) every node gets one, composed
+    through the blocks' id maps; without one no node does.
+    """
+    leaves: list[DecompNode] = []
+    return _grow(graph, step, origin, leaves), leaves
+
+
+def _grow(graph: Graph, step: Callable[[Graph], StepResult],
+          origin: Optional[tuple[int, ...]], leaves: list[DecompNode]) -> DecompNode:
+    node, blocks = step(graph)
+    node.origin = origin
+    if blocks is None:
+        leaves.append(node)
+        return node
+    children = []
+    # a loop, not a generator expression, which would add a frame per level
+    for block, id_map in blocks:
+        children.append(_grow(block, step, None if origin is None else
+                               tuple(origin[v] for v in id_map), leaves))
+    node.children = tuple(children)
+    return node

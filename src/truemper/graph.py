@@ -333,67 +333,76 @@ def cliques(g: Graph, cand: int) -> Iterator[int]:
     """Every nonempty clique inside mask cand, as a mask, in lexicographic
     order of the ascending node lists (a clique comes before its
     extensions)."""
+    return _extend_cliques(g._adj, 0, cand)
+
+
+def _extend_cliques(adj: tuple[int, ...], clique: int, cand: int) -> Iterator[int]:
+    for v in _bits(cand):
+        new = clique | (1 << v)
+        yield new
+        yield from _extend_cliques(adj, new, cand & adj[v] & ~((1 << (v + 1)) - 1))
+
+
+def walk(g: Graph, within: int, start: int, first: int,
+         stop: int) -> Optional[list[int]]:
+    """The chain start, first, ... that leaves each node of degree 2 in
+    G[within] by its other neighbor, up to the first node of mask stop
+    (start may be one, closing a cycle); None if the chain meets a node
+    of another degree or repeats a node first.  start and first are
+    adjacent nodes of within."""
     adj = g._adj
-
-    def extend(clique: int, cand: int) -> Iterator[int]:
-        for v in _bits(cand):
-            new = clique | (1 << v)
-            yield new
-            yield from extend(new, cand & adj[v] & ~((1 << (v + 1)) - 1))
-
-    return extend(0, cand)
+    order = [start, first]
+    seen = 1 << start
+    prev, cur = start, first
+    while not stop >> cur & 1:
+        nbrs = adj[cur] & within
+        if seen >> cur & 1 or nbrs.bit_count() != 2:
+            return None
+        seen |= 1 << cur
+        prev, cur = cur, (nbrs & ~(1 << prev)).bit_length() - 1
+        order.append(cur)
+    return order
 
 
 def path_order(g: Graph, part: int) -> Optional[list[int]]:
     """Node order of the chordless path that mask part induces, from its
     lower end, or None if part does not induce a path."""
-    adj = g._adj
     if part.bit_count() == 1:
         return [part.bit_length() - 1]
-    ends = []
-    for v in _bits(part):
-        d = (adj[v] & part).bit_count()
-        if d == 1:
-            ends.append(v)
-        elif d != 2:
-            return None
+    adj = g._adj
+    ends = [v for v in _bits(part) if (adj[v] & part).bit_count() == 1]
     if len(ends) != 2:
         return None
-    order = [ends[0]]
-    seen = 1 << ends[0]
-    cur = ends[0]
-    while True:
-        nxt = adj[cur] & part & ~seen
-        if not nxt:
-            break
-        if nxt.bit_count() > 1:
-            return None
-        cur = nxt.bit_length() - 1
-        order.append(cur)
-        seen |= nxt
-    if len(order) != part.bit_count() or order[-1] != ends[1]:
+    order = walk(g, part, ends[0], (adj[ends[0]] & part).bit_length() - 1,
+                 1 << ends[1])
+    if order is None or len(order) != part.bit_count():
         return None
     return order
 
 
+def _hole(g: Graph) -> Optional[list[int]]:
+    """Cyclic node order of g from node 0 toward its lower neighbor if g
+    is a hole, else None."""
+    row = g._adj[0] if g.n >= 4 else 0
+    if not row:
+        return None
+    order = walk(g, g.full_mask(), 0, (row & -row).bit_length() - 1, 1)
+    if order is None or len(order) != g.n + 1:
+        return None
+    return order[:-1]
+
+
 def is_hole_graph(g: Graph) -> bool:
     """True iff g itself is a chordless cycle of length >= 4."""
-    if g.n < 4:
-        return False
-    if any(g.degree(v) != 2 for v in range(g.n)):
-        return False
-    return is_connected(g)
+    return _hole(g) is not None
 
 
 def hole_order(g: Graph) -> list[int]:
-    """Cyclic node order of a hole graph, starting at node 0."""
-    if not is_hole_graph(g):
+    """Cyclic node order of a hole graph, starting at node 0 and going
+    on to its lower neighbor."""
+    order = _hole(g)
+    if order is None:
         raise ValueError("not a hole graph")
-    order = [0, g.neighbors(0)[0]]
-    while len(order) < g.n:
-        prev, cur = order[-2], order[-1]
-        a, b = g.neighbors(cur)
-        order.append(b if a == prev else a)
     return order
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .graph import Graph, bits, components_masks, mask_of, path_order, reach
+from .graph import Graph, bits, mask_of, reach, walk
 
 KINDS = ("theta", "wheel", "prism", "pyramid")
 
@@ -62,30 +62,6 @@ class ConfigWitness:
 
 
 # -- mask-level helpers ------------------------------------------------------
-
-def _walk_from(g: Graph, sub: int, start: int, first: int,
-               stop_mask: int) -> Optional[tuple[int, list[int]]]:
-    """Follow degree-2 nodes from start via first until a stop node.
-
-    Returns (stop node, interior list) or None if the walk dies or revisits.
-    """
-    adj = g._adj
-    interior = []
-    prev, cur = start, first
-    seen = (1 << start) | (1 << first)
-    while not stop_mask & (1 << cur):
-        if (adj[cur] & sub).bit_count() != 2:
-            return None
-        nxt = adj[cur] & sub & ~(1 << prev)
-        if nxt.bit_count() != 1:
-            return None
-        interior.append(cur)
-        prev, cur = cur, nxt.bit_length() - 1
-        if seen & (1 << cur):
-            return None
-        seen |= 1 << cur
-    return cur, interior
-
 
 def _degree3(g: Graph, sub: int) -> Optional[int]:
     """The nodes of degree 3 in G[sub] as a mask, or None if some node of
@@ -128,28 +104,17 @@ def _theta_mask(g: Graph, sub: int) -> Optional[ConfigWitness]:
     a, b = bits(deg3)
     if adj[a] & (1 << b):
         return None
-    rest = sub & ~(1 << a) & ~(1 << b)
-    comps = components_masks(g, rest)
-    if len(comps) != 3:
-        return None
     paths = []
-    for comp in comps:
-        na = adj[a] & comp
-        nb = adj[b] & comp
-        if comp.bit_count() == 1:
-            if na != comp or nb != comp:
-                return None
-            paths.append([a, comp.bit_length() - 1, b])
-            continue
-        order = path_order(g, comp)
-        if order is None:
+    for first in bits(adj[a] & sub):
+        path = walk(g, sub, a, first, 1 << b)
+        if path is None:
             return None
-        if na == 1 << order[0] and nb == 1 << order[-1]:
-            paths.append([a] + order + [b])
-        elif na == 1 << order[-1] and nb == 1 << order[0]:
-            paths.append([a] + order[::-1] + [b])
-        else:
-            return None
+        paths.append(path)
+    # three walks that end at b are internally disjoint; they cover sub
+    # iff their interiors hold the other |sub| - 2 nodes
+    if sum(map(len, paths)) != sub.bit_count() + 4:
+        return None
+    paths.sort(key=lambda p: min(p[1:-1]))
     return ConfigWitness("theta", frozenset(bits(sub)),
                          {"a": a, "b": b, "paths": paths})
 
@@ -161,30 +126,17 @@ def _wheel_mask(g: Graph, sub: int) -> Optional[ConfigWitness]:
     for c in bits(sub):
         if (adj[c] & sub).bit_count() < 3:
             continue
-        rim = sub & ~(1 << c)
-        if rim.bit_count() < 4:
-            continue
-        ok = True
-        for v in bits(rim):
-            if (adj[v] & rim).bit_count() != 2:
-                ok = False
-                break
-        if not ok:
-            continue
-        if reach(g, rim & -rim, rim) != rim:
-            continue
+        rim = sub & ~(1 << c)  # at least 4 nodes, as sub has 5
         start = rim & -rim
         v0 = start.bit_length() - 1
-        order = [v0]
-        prev = -1
-        cur = v0
-        while len(order) < rim.bit_count():
-            nxt = adj[cur] & rim & ~(1 << prev if prev >= 0 else 0)
-            nb = bits(nxt)
-            cur, prev = (nb[0], cur)
-            order.append(cur)
+        row = adj[v0] & rim
+        if not row:
+            continue
+        order = walk(g, rim, v0, (row & -row).bit_length() - 1, start)
+        if order is None or len(order) != rim.bit_count() + 1:
+            continue
         return ConfigWitness("wheel", frozenset(bits(sub)),
-                             {"rim": order, "center": c})
+                             {"rim": order[:-1], "center": c})
     return None
 
 
@@ -202,22 +154,19 @@ def _prism_mask(g: Graph, sub: int) -> Optional[ConfigWitness]:
     ta_mask, tb_mask = mask_of(ta), mask_of(tb)
     if ta_mask & tb_mask or (ta_mask | tb_mask) != deg3:
         return None
+    # the three paths end at distinct nodes of tb: each has degree 3,
+    # so one neighbor outside its triangle
     paths = []
-    reached = {}
-    covered = ta_mask | tb_mask
+    covered = 0
     for a_i in ta:
         out = adj[a_i] & sub & ~ta_mask
         if out.bit_count() != 1:
             return None
-        res = _walk_from(g, sub, a_i, out.bit_length() - 1, tb_mask | ta_mask)
-        if res is None:
+        path = walk(g, sub, a_i, out.bit_length() - 1, tb_mask | ta_mask)
+        if path is None or not tb_mask >> path[-1] & 1:
             return None
-        end, interior = res
-        if not tb_mask & (1 << end) or end in reached.values():
-            return None
-        reached[a_i] = end
-        covered |= mask_of(interior)
-        paths.append([a_i] + interior + [end])
+        covered |= mask_of(path)
+        paths.append(path)
     if covered != sub:
         return None
     return ConfigWitness("prism", frozenset(bits(sub)),
@@ -243,26 +192,18 @@ def _pyramid_mask(g: Graph, sub: int) -> Optional[ConfigWitness]:
         return None
     apex = apex_mask.bit_length() - 1
     paths = []
-    covered = tri_mask | apex_mask
-    short = 0
+    covered = 0
     for b_i in tri:
         out = adj[b_i] & sub & ~tri_mask
         if out.bit_count() != 1:
             return None
-        first = out.bit_length() - 1
-        if first == apex:
-            short += 1
-            paths.append([apex, b_i])
-            continue
-        res = _walk_from(g, sub, b_i, first, apex_mask | tri_mask)
-        if res is None:
+        path = walk(g, sub, b_i, out.bit_length() - 1, apex_mask | tri_mask)
+        if path is None or path[-1] != apex:
             return None
-        end, interior = res
-        if end != apex:
-            return None
-        covered |= mask_of(interior)
-        paths.append([apex] + interior[::-1] + [b_i])
-    if short > 1 or covered != sub:
+        covered |= mask_of(path)
+        paths.append(path[::-1])
+    # at most one path of length 1 (the 2-node walk b_i, apex)
+    if sum(len(p) == 2 for p in paths) > 1 or covered != sub:
         return None
     return ConfigWitness("pyramid", frozenset(bits(sub)),
                          {"apex": apex, "triangle": list(tri), "paths": paths})

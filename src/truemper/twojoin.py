@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .decomp import INTERNAL, DecompNode, DecompTree
+from .decomp import INTERNAL, DecompNode, DecompTree, StepResult, decompose
 from .graph import (Graph, bits, components_masks, induced_subgraph,
                     is_clique_graph, is_clique_mask, is_hole_graph, mask_of,
                     path_order, reach)
@@ -517,6 +517,17 @@ def _dot_label(node: DecompNode) -> str:
     return f"n={node.graph.n} {node.kind}"
 
 
+def _twojoin_step(graph: Graph) -> StepResult:
+    split = find_2join(graph)
+    if split is None:
+        return DecompNode(graph, LEAF_NO_2JOIN), None
+    ok, idx = is_consistent(graph, split)
+    if not ok:
+        return DecompNode(graph, LEAF_NON_CONSISTENT, split,
+                          failed_condition=idx), None
+    return DecompNode(graph, INTERNAL, split), blocks_of_2join(graph, split)
+
+
 def two_join_decomposition_tree(g: Graph) -> DecompTree:
     """Decompose along consistent 2-joins; leaves either have no 2-join
     or carry a non-consistent one (flagged as such).
@@ -526,23 +537,6 @@ def two_join_decomposition_tree(g: Graph) -> DecompTree:
     with at least 7 nodes because consistent 2-joins have both sides of
     size at least 4.
     """
-    leaves: list[DecompNode] = []
-
-    def build(graph: Graph) -> DecompNode:
-        split = find_2join(graph)
-        if split is None:
-            node = DecompNode(graph, LEAF_NO_2JOIN)
-            leaves.append(node)
-            return node
-        ok, idx = is_consistent(graph, split)
-        if not ok:
-            node = DecompNode(graph, LEAF_NON_CONSISTENT, split,
-                              failed_condition=idx)
-            leaves.append(node)
-            return node
-        (b1, _map1), (b2, _map2) = blocks_of_2join(graph, split)
-        return DecompNode(graph, INTERNAL, split, (build(b1), build(b2)))
-
-    root = build(g)
+    root, leaves = decompose(g, _twojoin_step, None)
     head = {"tree": "consistent-2join", "calls": 2 * len(leaves) - 1}
     return DecompTree(root, leaves, head, "twojoin_decomposition", _dot_label)

@@ -51,12 +51,13 @@ def brute_components(g, within):
 
 
 def brute_smallest_a(g):
-    """The A that find_clique_cutset promises: node 0's component of a
-    disconnected graph, else the smallest component of G - K over all
-    clique cutsets K, by size and then by sorted node list."""
+    """The A that find_clique_cutset promises: the first k // 2 of the k
+    components of a disconnected graph (by lowest node) together, else
+    the smallest component of G - K over all clique cutsets K, by size
+    and then by sorted node list."""
     comps = brute_components(g, range(g.n))
     if len(comps) >= 2:
-        return comps[0]
+        return sorted(v for comp in comps[:len(comps) // 2] for v in comp)
     best = None
     for size in range(1, g.n - 1):
         for k in combinations(range(g.n), size):
@@ -209,6 +210,17 @@ class TestDecompositionTree:
         assert root.split == CliqueSplit(frozenset({0, 1, 2}), frozenset(),
                                          frozenset({3, 4, 5}))
         assert not root.children[0].is_leaf
+
+    def test_empty_cutset_halves_the_components(self):
+        # eight isolated nodes: {0..3} | {4..7}, then pairs, then leaves
+        root = clique_decomposition_tree(Graph.from_edge_list(8, [])).root
+        assert root.split.A == frozenset(range(4))
+        level = [root]
+        for _ in range(3):
+            assert all(len(node.children) == 2 for node in level)
+            level = [child for node in level for child in node.children]
+        assert [node.origin for node in level] == [(v,) for v in range(8)]
+        assert all(node.is_leaf for node in level)
 
     def test_json_and_dot_render(self):
         tree = clique_decomposition_tree(BOWTIE)

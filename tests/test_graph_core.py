@@ -1,6 +1,6 @@
 import json
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -8,8 +8,10 @@ from truemper.graph import (EdgeListParseError, Graph, biconnected_blocks,
                             bits, cliques, components, components_masks,
                             find_claw, find_diamond, format_edge_list,
                             from_graph6, graph_from_json, graph_json,
-                            induced_subgraph, is_clique_graph, is_connected,
-                            is_hole_graph, is_triangle_free, parse_edge_list)
+                            hole_order, induced_subgraph, is_clique_graph,
+                            is_chordless_path_sequence, is_connected,
+                            is_hole_graph, is_triangle_free, parse_edge_list,
+                            path_order, walk)
 
 from util import (all_graphs, assert_revalidates, gnp_graphs, is_isomorphic,
                   random_graph, reference_find_claw, reference_find_diamond,
@@ -271,6 +273,38 @@ class TestSmallPredicates:
             has_triangle = any(g.has_edge(u, v) and g.has_edge(u, w) and g.has_edge(v, w)
                                for u, v, w in combinations(range(g.n), 3))
             assert is_triangle_free(g) == (not has_triangle), g.edges()
+
+
+class TestWalks:
+    def test_walk_follows_degree_two_nodes_to_a_stop(self):
+        assert walk(C5, C5.full_mask(), 0, 1, 1 << 3) == [0, 1, 2, 3]
+        assert walk(C5, C5.full_mask(), 0, 1, 1 << 0) == [0, 1, 2, 3, 4, 0]
+        assert walk(C5, C5.full_mask(), 0, 4, 1 << 0) == [0, 4, 3, 2, 1, 0]
+
+    def test_walk_refuses_a_repeated_node(self):
+        # no stop on the cycle: the walk comes back to its start
+        assert walk(C5, C5.full_mask(), 0, 1, 0) is None
+
+    def test_walk_refuses_a_node_of_degree_three(self):
+        paw_tail = Graph.from_edge_list(4, [(0, 1), (1, 2), (1, 3)])
+        assert walk(paw_tail, paw_tail.full_mask(), 0, 1, 1 << 2) is None
+        assert walk(paw_tail, 0b0111, 0, 1, 1 << 2) == [0, 1, 2]
+
+    def test_path_order_matches_permutation_brute_force(self):
+        # the chordless path that a mask induces, read from its lower end
+        for n in range(6):
+            for g in all_graphs(n):
+                for part in range(1, 1 << n):
+                    orders = [list(p) for p in permutations(bits(part))
+                              if is_chordless_path_sequence(g, p)]
+                    assert path_order(g, part) == (min(orders) if orders else None)
+                assert path_order(g, 0) is None
+
+    def test_hole_order_starts_at_zero_toward_its_lower_neighbor(self):
+        c6 = Graph.from_edge_list(6, [(0, 4), (4, 2), (2, 5), (5, 1), (1, 3), (3, 0)])
+        assert hole_order(c6) == [0, 3, 1, 5, 2, 4]
+        with pytest.raises(ValueError):
+            hole_order(K4)
 
 
 class TestEdgeListFormat:

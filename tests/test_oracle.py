@@ -68,6 +68,32 @@ class TestWholeGraphChecks:
             assert w4.has_edge(v, rim[(i + 1) % len(rim)])
 
 
+class TestWitnessStructure:
+    # the exact order rules of the witnesses, which reports carry
+
+    def test_theta_paths_ordered_by_lowest_interior_node(self):
+        g = Graph.from_edge_list(8, [(0, 7), (7, 2), (2, 1), (0, 5), (5, 1),
+                                     (0, 6), (6, 3), (3, 4), (4, 1)])
+        w = is_theta(g)
+        assert (w.structure["a"], w.structure["b"]) == (0, 1)
+        # by a's neighbors the order would be 5, 6, 7
+        assert w.structure["paths"] == [[0, 7, 2, 1], [0, 6, 3, 4, 1], [0, 5, 1]]
+
+    def test_wheel_rim_from_lowest_node_toward_its_lower_neighbor(self):
+        g = Graph.from_edge_list(6, [(0, 3), (3, 1), (1, 4), (4, 2), (2, 0),
+                                     (5, 0), (5, 1), (5, 4)])
+        w = is_wheel(g)
+        assert w.structure == {"rim": [0, 2, 4, 1, 3], "center": 5}
+
+    def test_pyramid_with_one_short_path(self):
+        g = Graph.from_edge_list(6, [(1, 2), (1, 3), (2, 3), (0, 1), (0, 4),
+                                     (4, 2), (0, 5), (5, 3)])
+        w = is_pyramid(g)
+        assert w.structure == {"apex": 0, "triangle": [1, 2, 3],
+                               "paths": [[0, 1], [0, 4, 2], [0, 5, 3]]}
+        assert not is_long_pyramid(g)
+
+
 class TestLongPyramid:
     def test_all_paths_length_two(self):
         assert is_long_pyramid(make_pyramid((2, 2, 2)))

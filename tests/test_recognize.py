@@ -1,3 +1,5 @@
+import gc
+import json
 import random
 
 import truemper.recognize
@@ -184,3 +186,41 @@ class TestDegenerateInputs:
             + [(u + 7, v + 7) for u, v in make_pyramid((2, 2, 2)).edges()])
         assert recognize_only_pyramid(two_pyramids).verdict
         assert not recognize_only_prism(two_pyramids).verdict
+
+    def test_many_components(self):
+        # an empty cutset halves the components, so the clique tree is
+        # about log2 k deep, within reach of recursion and json.dumps
+        isolated = Graph.from_edge_list(1200, [])
+        matching = Graph.from_edge_list(2000, [(2 * i, 2 * i + 1) for i in range(1000)])
+        for g, leaves in ((isolated, 1200), (matching, 1000)):
+            for rec in (recognize_only_prism, recognize_only_pyramid,
+                        recognize_universally_signable):
+                report = rec(g)
+                assert report.verdict and len(report.leaves) == leaves
+                assert json.loads(json.dumps(report.to_json()))["verdict"]
+                assert report.clique_tree.to_dot().count(" -- ") == 2 * leaves - 2
+
+
+class TestNoReferenceCycles:
+    def test_recognition_leaves_nothing_for_the_cycle_collector(self):
+        # each report is freed by reference counting alone
+        rng = random.Random(18)
+        graphs = [random_graph(rng, rng.randint(7, 11), 0.4) for _ in range(4)]
+        graphs += [plant_configuration(i, kind, 10)
+                   for i, kind in enumerate(("theta", "wheel", "prism", "pyramid"))]
+        gc.collect()
+        gc.disable()
+        try:
+            for g in graphs:
+                for rec in (recognize_only_prism, recognize_only_pyramid,
+                            recognize_universally_signable):
+                    report = rec(g, witness_cap=14)
+                    json.dumps(report.to_json())
+                    report.clique_tree.to_dot()
+                    for leaf in report.leaves:
+                        if leaf.twojoin_tree is not None:
+                            leaf.twojoin_tree.to_dot()
+            del report
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -25,6 +25,8 @@ Corpora (fixed seeds, so the same library gives the same lines):
           hosts and seeded sparse planted 2-joins with n = 11..16 (1800
           graphs); on 111 of them the split comes from a stalled
           seed's retry with an extra node.
+* oracle: the small corpus followed by the gnp corpus (36868 graphs).
+* paths:  the small corpus again.
 
 For the first three corpora the hash covers, per graph, the three
 recognizers' ``to_json()`` at witness cap 14, the clique-cutset and
@@ -37,7 +39,11 @@ maps and their recomposition along the blocks' marker paths (the last
 three nodes of each).  For roots it covers ``root_graph``, the root edge
 map of the Krausz partition, ``is_lg_tf_chordless`` and
 ``classify_basic``.  For twojoin it covers ``find_2join``'s split JSON,
-or null.  Each line reads ``<corpus> <graphs> <sha256>``.
+or null.  For oracle it covers ``scan_configs`` at the default cap, so
+every first witness of every kind, not only the witnesses of
+rejections.  For paths it covers ``path_order`` of every node mask and
+``hole_order`` (or null when ``is_hole_graph`` is false).  Each line
+reads ``<corpus> <graphs> <sha256>``.
 """
 
 from __future__ import annotations
@@ -55,8 +61,9 @@ from truemper.basic import (_krausz_partition, _root_with_edge_map,
 from truemper.cutset import clique_decomposition_tree
 from truemper.gen import (plant_configuration, random_tf_chordless,
                           replay_recipe, synth_only_prism, synth_only_pyramid)
-from truemper.graph import Graph, find_claw, find_diamond, graph_json
-from truemper.oracle import KINDS
+from truemper.graph import (Graph, find_claw, find_diamond, graph_json,
+                            hole_order, is_hole_graph, path_order)
+from truemper.oracle import KINDS, scan_configs
 from truemper.recognize import (recognize_only_prism, recognize_only_pyramid,
                                 recognize_universally_signable)
 from truemper.twojoin import (blocks_of_2join, compose_2join_with_split,
@@ -160,6 +167,24 @@ def twojoin_graphs() -> Iterator[Graph]:
         yield _planted_2join(rng, rng.randint(11, 16))
 
 
+def oracle_graphs() -> Iterator[Graph]:
+    yield from small_graphs()
+    yield from gnp_graphs()
+
+
+def oracle_outputs(g: Graph) -> str:
+    """scan_configs of one graph, as one JSON text."""
+    return json.dumps({kind: None if w is None else w.to_json()
+                       for kind, w in scan_configs(g).items()})
+
+
+def path_outputs(g: Graph) -> str:
+    """path_order of every node mask and hole_order of one graph, as one
+    JSON text."""
+    return json.dumps([[path_order(g, part) for part in range(1 << g.n)],
+                       hole_order(g) if is_hole_graph(g) else None])
+
+
 def twojoin_outputs(g: Graph) -> str:
     """find_2join's split of one graph, as one JSON text."""
     split = find_2join(g)
@@ -228,7 +253,9 @@ def gen_outputs(case: tuple[Graph, object]) -> str:
 CORPORA = (("small", small_graphs, outputs), ("gnp", gnp_graphs, outputs),
            ("synth", synth_graphs, outputs), ("gen", gen_cases, gen_outputs),
            ("roots", root_cases, root_outputs),
-           ("twojoin", twojoin_graphs, twojoin_outputs))
+           ("twojoin", twojoin_graphs, twojoin_outputs),
+           ("oracle", oracle_graphs, oracle_outputs),
+           ("paths", small_graphs, path_outputs))
 
 
 def main() -> int:
