@@ -3,9 +3,9 @@
 Exit codes: 0 means in class (or, for oracle runs, configuration-free),
 1 means not in class (configuration found), 2 means input error: a bad
 argument, a malformed, missing or unreadable input, or an unwritable
-output.  Every file-writing command emits a run manifest next to its
-outputs; replaying a generate manifest reproduces the files byte for
-byte.  The environment variable TRUEMPER_ORACLE_CAP overrides the
+output, and 3 means an internal error (the traceback goes to stderr).
+Every file-writing command emits a run manifest next to its outputs;
+replaying a generate manifest reproduces the files byte for byte.  The environment variable TRUEMPER_ORACLE_CAP overrides the
 default oracle cap of 14, and --cap overrides both.
 """
 
@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from typing import Optional, Sequence
 
 from . import __version__
@@ -283,6 +284,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # not a verdict
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        # a crash must not read as a verdict: 1 means "not in class"
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

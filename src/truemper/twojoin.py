@@ -193,12 +193,19 @@ def find_2join(g: Graph) -> Optional[TwoJoinSplit]:
     ascending order; the retry resumes from the seed's fixpoint plus c,
     which reaches the same fixpoint as a fresh closure from {a1, b1, c}
     because forcing is monotone.  The retry pass walks the seeds again
-    and recomputes each fixpoint rather than keeping one per seed, so
-    the search needs O(m) memory, not O(m^2).  A c in N(a2) & N(b2) is
-    skipped: it would make A1 meet B1 at once.  The first fixpoint that
-    validate_split accepts, with A1 = N(a2) & X1, B1 = N(b2) & X1,
-    A2 = N(a1) - X1 and B2 = N(b1) - X1, is returned, so every answer is
-    checked and the result is deterministic.
+    and recomputes each fixpoint rather than keeping one per seed.  It
+    retries only the seeds with at least four nodes outside their
+    fixpoint: with three or fewer every retry leaves X2 = {a2, b2}.  A c
+    in N(a2) & N(b2) is skipped: it would make A1 meet B1 at once.  A c
+    whose retry contradicts or leaves X2 = {a2, b2} joins the seed's
+    dead mask, and a later retry of the seed that forces a dead node
+    stops there: forcing is monotone and idempotent for fixed pins, so
+    that retry's fixpoint contains the dead node's and ends the same
+    way.  Every fixpoint that could validate is still tried, in the same
+    order.  Memory is O(m) words plus one bit per seed.  The first
+    fixpoint that validate_split accepts, with A1 = N(a2) & X1,
+    B1 = N(b2) & X1, A2 = N(a1) - X1 and B2 = N(b1) - X1, is returned,
+    so every answer is checked and the result is deterministic.
 
     Completeness, for a 2-join (X1, X2, A1, A2, B1, B2) and a seed with
     a_i in A_i and b_i in B_i.  Proven:
@@ -258,31 +265,48 @@ def _seeds(g: Graph) -> Iterator[tuple[int, int, int, int]]:
 def _fixpoints(g: Graph) -> Iterator[tuple[int, int, int, int, int]]:
     """(a1, a2, b1, b2, x1) for every closure find_2join runs that does
     not contradict, in its order: each seed's fixpoint, then each
-    stalled seed's retries by ascending extra node.  The consumer stops
-    at the first fixpoint that validates, so every seed that reaches the
-    retry pass has stalled."""
+    stalled seed's retries by ascending extra node, leaving out retries
+    that end with X1 = V - {a2, b2}.  The consumer stops at the first
+    fixpoint that validates, so every seed that reaches the retry pass
+    has stalled.
+
+    Only a seed with at least four nodes outside its fixpoint is
+    retried, one bit per seed in a single int: with three or fewer (the
+    pins and at most one node) every retry either contradicts or leaves
+    X2 = {a2, b2}, which find_2join skips.  Within one seed's retries an
+    extra node c whose retry contradicts or leaves X2 = {a2, b2} joins
+    the dead mask, which starts as N(a2) & N(b2); a later retry that
+    forces a dead node stops at once (see _closure for why that loses
+    nothing).  Memory is O(m) words plus one bit per seed.
+    """
     adj = g._adj
-    start = (0, -1, 0, -1, 0)  # empty X1: the intersections are all ones
-    for a1, a2, b1, b2 in _seeds(g):
-        state = _closure(adj, adj[a2], adj[b2], start, (1 << a1) | (1 << b1))
-        if state is not None:
-            yield a1, a2, b1, b2, state[0]
     full = g.full_mask()
-    for a1, a2, b1, b2 in _seeds(g):
-        na2, nb2 = adj[a2], adj[b2]
-        state = _closure(adj, na2, nb2, start, (1 << a1) | (1 << b1))
-        if state is None:
+    start = (0, -1, 0, -1, 0)  # empty X1: the intersections are all ones
+    retry = 0
+    for i, (a1, a2, b1, b2) in enumerate(_seeds(g)):
+        state = _closure(adj, adj[a2], adj[b2], adj[a2] & adj[b2], start,
+                         (1 << a1) | (1 << b1))
+        if state is not None:
+            if (full & ~state[0]).bit_count() >= 4:
+                retry |= 1 << i
+            yield a1, a2, b1, b2, state[0]
+    for i, (a1, a2, b1, b2) in enumerate(_seeds(g)):
+        if not retry >> i & 1:
             continue
-        x1 = state[0]
-        # c inside the fixpoint would only rebuild it; c in N(a2) & N(b2)
-        # would make A1 meet B1 at once
-        for c in bits(full & ~x1 & ~(1 << a2) & ~(1 << b2) & ~(na2 & nb2)):
-            fixpoint = _closure(adj, na2, nb2, state, 1 << c)
-            if fixpoint is not None:
+        na2, nb2 = adj[a2], adj[b2]
+        dead = na2 & nb2
+        state = _closure(adj, na2, nb2, dead, start, (1 << a1) | (1 << b1))
+        pins_out = full & ~(1 << a2) & ~(1 << b2)
+        # c inside the fixpoint would only rebuild it; a dead c fails at once
+        for c in bits(pins_out & ~state[0] & ~dead):
+            fixpoint = _closure(adj, na2, nb2, dead, state, 1 << c)
+            if fixpoint is None or fixpoint[0] == pins_out:
+                dead |= 1 << c
+            else:
                 yield a1, a2, b1, b2, fixpoint[0]
 
 
-def _closure(adj: tuple[int, ...], na2: int, nb2: int,
+def _closure(adj: tuple[int, ...], na2: int, nb2: int, dead: int,
              state: tuple[int, int, int, int, int],
              add: int) -> Optional[tuple[int, int, int, int, int]]:
     """Add the nodes of add to X1 and grow it to its forcing fixpoint,
@@ -304,15 +328,18 @@ def _closure(adj: tuple[int, ...], na2: int, nb2: int,
 
     The pins themselves always fit (a2 its A pattern, b2 its B pattern),
     so the only contradiction is X1 meeting N(a2) & N(b2), which makes
-    A1' meet B1'; the nodes of add must avoid it, and a forced node in
-    it gives None.  A node that does not fit against X1 does not fit
-    against any superset of X1 either, so starting from any set between
-    the start and the fixpoint gives the same fixpoint: a stalled seed's
-    state can be resumed with one extra node.  Returns the fixpoint's
-    state, or None on a contradiction.
+    A1' meet B1'.  A node that does not fit against X1 does not fit
+    against any superset of X1 either, so forcing is monotone and
+    idempotent for fixed pins: starting from any set between the start
+    and the fixpoint gives the same fixpoint, so a stalled seed's state
+    can be resumed with one extra node, and a closure that forces a node
+    c contains the whole closure of c.  Hence the dead mask, which holds
+    N(a2) & N(b2) and may hold nodes whose own closure from this state
+    contradicts or leaves X2 = {a2, b2}: a closure that forces a dead
+    node ends the same way, and None is returned at once.  The nodes of
+    add must avoid it.  Returns the fixpoint's state, or None.
     """
     x1, in_a, out_a, in_b, out_b = state
-    both = na2 & nb2
     while add:
         x1 |= add
         while add:
@@ -328,7 +355,7 @@ def _closure(adj: tuple[int, ...], na2: int, nb2: int,
                 out_b |= row
             add ^= b
         add = (out_a | out_b) & ~(x1 | in_a & ~out_a | in_b & ~out_b)
-        if add & both:
+        if add & dead:
             return None
     return x1, in_a, out_a, in_b, out_b
 

@@ -6,6 +6,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+from truemper import cli
 from truemper.cli import main
 from truemper.gen import make_pyramid, plant_configuration
 from truemper.graph import Graph, write_graph_file
@@ -66,6 +67,17 @@ class TestRecognizeCommand:
         out = capsys.readouterr().out
         assert code == 1
         assert "wheel" in out
+
+    def test_internal_error_exits_three(self, workdir, capsys, monkeypatch):
+        # exit 1 means "not in class", so a crash must not return it
+        def crash(g, witness_cap=None):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setitem(cli.RECOGNIZERS, "only-prism", crash)
+        path = write_graph(workdir, "lp.graph", LONG_PYRAMID)
+        assert main(["recognize", "only-prism", path]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "RecursionError" in err
 
     def test_malformed_file_exits_two(self, workdir, capsys):
         path = workdir / "bad.graph"

@@ -1,7 +1,12 @@
 """Print one SHA-256 per seeded corpus over every output that a
 behaviour-preserving change must keep byte for byte.
 
-Usage: PYTHONPATH=src python3 tools/digest.py
+Usage: PYTHONPATH=src python3 tools/digest.py [CORPUS ...]
+
+With no names every corpus is hashed, in the order listed below; with
+names only those are, in that order (a 2-join change, for example, needs
+only ``twojoin gen synth small gnp``).  An unknown name is an error
+(exit status 2).
 
 The library is imported from whatever ``truemper`` is on the path, so an
 exported copy of another commit is checked the same way:
@@ -258,8 +263,15 @@ CORPORA = (("small", small_graphs, outputs), ("gnp", gnp_graphs, outputs),
            ("paths", small_graphs, path_outputs))
 
 
-def main() -> int:
-    for name, cases, output in CORPORA:
+def main(argv: list[str]) -> int:
+    known = {name: (cases, output) for name, cases, output in CORPORA}
+    unknown = [name for name in argv if name not in known]
+    if unknown:
+        print(f"unknown corpus {', '.join(unknown)}; valid names: "
+              f"{' '.join(known)}", file=sys.stderr)
+        return 2
+    for name in argv or known:
+        cases, output = known[name]
         h = hashlib.sha256()
         count = 0
         for case in cases():
@@ -271,4 +283,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
