@@ -22,7 +22,7 @@ from typing import Optional
 from .graph import (Graph, biconnected_blocks, bits, find_claw, find_diamond,
                     graph_json, induced_subgraph, is_clique_graph,
                     is_clique_mask, is_connected, is_hole_graph,
-                    is_triangle_free, hole_order)
+                    is_triangle_free, hole_order, mask_of, walk)
 from .oracle import ConfigWitness, is_pyramid
 
 Edge = tuple[int, int]
@@ -193,26 +193,18 @@ def pendant_edges(t: Graph) -> list[Edge]:
     return [(u, v) for u, v in t.edges() if t.degree(u) == 1 or t.degree(v) == 1]
 
 
-def _leaf_end(t: Graph, e: Edge) -> int:
-    u, v = e
-    return u if t.degree(u) == 1 else v
-
-
-def _tree_path(t: Graph, a: int, b: int) -> list[int]:
-    prev = {a: a}
-    frontier = [a]
-    while frontier and b not in prev:
-        nxt = []
-        for v in frontier:
-            for w in t.neighbors(v):
-                if w not in prev:
-                    prev[w] = v
-                    nxt.append(w)
-        frontier = nxt
-    path = [b]
-    while path[-1] != a:
-        path.append(prev[path[-1]])
-    return path[::-1]
+def _sibling_keys(t: Graph) -> dict[Edge, int]:
+    """One key per pendant edge of the tree t: the node of degree >= 3
+    that the walk from its leaf through nodes of degree 2 reaches, or -1
+    on a path.  The path between two leaves holds at most one node of
+    degree >= 3 iff their walks reach the same one."""
+    stop = mask_of(v for v in range(t.n) if t.degree(v) != 2)
+    keys = {}
+    for e in pendant_edges(t):
+        leaf, nxt = e if t.degree(e[0]) == 1 else e[::-1]
+        end = walk(t, t.full_mask(), leaf, nxt, stop)[-1]
+        keys[e] = end if t.degree(end) >= 3 else -1
+    return keys
 
 
 def pendant_siblings(t: Graph) -> list[tuple[Edge, Edge]]:
@@ -220,14 +212,8 @@ def pendant_siblings(t: Graph) -> list[tuple[Edge, Edge]]:
     degree-1 endpoints) holds at most one node of degree >= 3."""
     if not is_tree_graph(t):
         raise ValueError("pendant_siblings expects a tree")
-    pend = pendant_edges(t)
-    out = []
-    for e, f in combinations(pend, 2):
-        path = _tree_path(t, _leaf_end(t, e), _leaf_end(t, f))
-        high = sum(1 for v in path if t.degree(v) >= 3)
-        if high <= 1:
-            out.append((e, f))
-    return out
+    keys = _sibling_keys(t)
+    return [(e, f) for e, f in combinations(keys, 2) if keys[e] == keys[f]]
 
 
 def is_safe_tree(t: Graph, labels: Optional[dict[Edge, str]] = None) -> bool:
@@ -245,23 +231,20 @@ def is_safe_tree(t: Graph, labels: Optional[dict[Edge, str]] = None) -> bool:
             v = t.neighbors(u)[0]
             if t.degree(v) > 2:
                 return False
-    sibs = pendant_siblings(t)
-    counts: dict[Edge, int] = {}
-    for e, f in sibs:
-        counts[e] = counts.get(e, 0) + 1
-        counts[f] = counts.get(f, 0) + 1
-    if any(c > 1 for c in counts.values()):
+    keys = _sibling_keys(t)
+    ends = list(keys.values())
+    if any(ends.count(k) > 2 for k in ends):  # a pendant edge with two siblings
         return False
     if labels is not None:
-        pend = set(pendant_edges(t))
         norm = {tuple(sorted(e)): lab for e, lab in labels.items()}
-        if set(norm) != pend:
+        if set(norm) != set(keys):
             return False
         if any(lab not in ("x", "y") for lab in norm.values()):
             return False
-        for e, f in sibs:
-            if norm[e] == norm[f]:
-                return False
+        # siblings share a key, so their labels differ iff no key repeats
+        # with one label
+        if len({(keys[e], lab) for e, lab in norm.items()}) != len(keys):
+            return False
     return True
 
 

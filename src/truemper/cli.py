@@ -5,8 +5,9 @@ Exit codes: 0 means in class (or, for oracle runs, configuration-free),
 argument, a malformed, missing or unreadable input, or an unwritable
 output, and 3 means an internal error (the traceback goes to stderr).
 Every file-writing command emits a run manifest next to its outputs;
-replaying a generate manifest reproduces the files byte for byte.  The environment variable TRUEMPER_ORACLE_CAP overrides the
-default oracle cap of 14, and --cap overrides both.
+replaying a generate manifest reproduces the files byte for byte.  The
+environment variable TRUEMPER_ORACLE_CAP overrides the default oracle
+cap of 14, and --cap overrides both.
 """
 
 from __future__ import annotations

@@ -166,14 +166,9 @@ def _random_safe_labeled_tree(rng: random.Random) -> Optional[LabeledSafeTree]:
             nxt_edges = [(i, i + 1) for i in range(rng.randint(3, 5))]
             edges, nxt = nxt_edges, len(nxt_edges) + 1
         t = Graph.from_edge_list(nxt, [(min(u, v), max(u, v)) for u, v in edges])
-        try:
-            if not is_safe_tree(t):
-                continue
-        except ValueError:
+        if not is_safe_tree(t):
             continue
         pend = pendant_edges(t)
-        if len(pend) < 2:
-            continue
         sibs = pendant_siblings(t)
         labels: dict[tuple[int, int], str] = {}
         for e, f in sibs:

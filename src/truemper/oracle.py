@@ -7,6 +7,13 @@ contains_config oracle enumerates induced subgraphs up to a hard node
 cap, so it is sound and complete at desk scale and never silently wrong
 above it.
 
+Thetas, pyramids and prisms are the three-path configurations: two ends,
+each a node or a triangle, joined by three chordless paths.  One reader,
+_three_path_mask, serves all three: the degree-3 nodes are the ends,
+three walks from the near end must stop in the far end and cover the
+rest, and the shape of the ends names the kind.  The wheel has its own
+check.
+
 Definitions used throughout:
 
 * theta: two non-adjacent nodes a, b joined by three internally disjoint
@@ -27,7 +34,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .graph import Graph, bits, mask_of, reach, walk
+from .graph import Graph, _bits, bits, mask_of, reach, walk
 
 KINDS = ("theta", "wheel", "prism", "pyramid")
 
@@ -77,46 +84,60 @@ def _degree3(g: Graph, sub: int) -> Optional[int]:
     return deg3
 
 
-def _triangles(g: Graph, sub: int) -> list[tuple[int, int, int]]:
-    adj = g._adj
-    out = []
-    nodes = bits(sub)
-    for i, u in enumerate(nodes):
-        for v in nodes[i + 1:]:
-            if not adj[u] & (1 << v):
-                continue
-            common = adj[u] & adj[v] & sub
-            for w in bits(common):
-                if w > v:
-                    out.append((u, v, w))
-    return out
-
-
 # -- whole-graph structural checks (mask core) -------------------------------
 
-def _theta_mask(g: Graph, sub: int) -> Optional[ConfigWitness]:
+def _three_path_mask(g: Graph, sub: int, deg3: int) -> Optional[ConfigWitness]:
+    """The theta, pyramid or prism that sub induces, or None.  Every node
+    of sub has degree 2 or 3 in G[sub], and deg3 holds those of degree 3.
+
+    The degree-3 nodes are exactly the two ends: the triangles among them
+    (a path of length 1 may join the ends, so these are not the
+    components of G[deg3]) and the other degree-3 nodes each.  Three
+    walks leave the near end (the first triangle, else the lower node),
+    one per edge, and each must stop in the far end; their interiors are
+    then disjoint, so they cover sub iff they hold its |sub - deg3|
+    degree-2 nodes.  Two single nodes make a theta, a node and a triangle
+    a pyramid and two triangles a prism, with at most 0, 1 and 3 paths
+    of length 1 respectively.
+    """
+    if deg3.bit_count() not in (2, 4, 6):  # two ends of 1 or 3 nodes
+        return None
     adj = g._adj
-    if sub.bit_count() < _MIN_NODES["theta"]:
+    tris = []  # lexicographic
+    singles = deg3
+    for u in _bits(deg3):
+        for v in _bits(adj[u] & deg3 & -2 << u):
+            for w in _bits(adj[u] & adj[v] & deg3 & -2 << v):
+                tris.append(1 << u | 1 << v | 1 << w)
+                singles &= ~tris[-1]
+    if len(tris) + singles.bit_count() != 2 or len(tris) == 2 and tris[0] & tris[1]:
         return None
-    deg3 = _degree3(g, sub)
-    if deg3 is None or deg3.bit_count() != 2:
-        return None
-    a, b = bits(deg3)
-    if adj[a] & (1 << b):
+    near = tris[0] if tris else singles & -singles
+    far = deg3 & ~near
+    # a theta's ends are not adjacent; a pyramid's second path of length
+    # 1 would close a second triangle on the apex, refused above
+    if not tris and adj[near.bit_length() - 1] & far:
         return None
     paths = []
-    for first in bits(adj[a] & sub):
-        path = walk(g, sub, a, first, 1 << b)
-        if path is None:
-            return None
-        paths.append(path)
-    # three walks that end at b are internally disjoint; they cover sub
-    # iff their interiors hold the other |sub| - 2 nodes
-    if sum(map(len, paths)) != sub.bit_count() + 4:
+    for x in _bits(near):
+        for first in _bits(adj[x] & sub & ~near):
+            path = walk(g, sub, x, first, deg3)
+            if path is None or not far >> path[-1] & 1:
+                return None
+            paths.append(path)
+    if sum(map(len, paths)) != (sub & ~deg3).bit_count() + 6:
         return None
-    paths.sort(key=lambda p: min(p[1:-1]))
-    return ConfigWitness("theta", frozenset(bits(sub)),
-                         {"a": a, "b": b, "paths": paths})
+    nodes = frozenset(bits(sub))
+    if not tris:
+        paths.sort(key=lambda p: min(p[1:-1]))
+        return ConfigWitness("theta", nodes, {"a": paths[0][0], "b": paths[0][-1],
+                                              "paths": paths})
+    if len(tris) == 1:
+        return ConfigWitness("pyramid", nodes,
+                             {"apex": far.bit_length() - 1, "triangle": bits(near),
+                              "paths": [p[::-1] for p in paths]})
+    return ConfigWitness("prism", nodes, {"triangles": [bits(near), bits(far)],
+                                          "paths": paths})
 
 
 def _wheel_mask(g: Graph, sub: int) -> Optional[ConfigWitness]:
@@ -140,84 +161,18 @@ def _wheel_mask(g: Graph, sub: int) -> Optional[ConfigWitness]:
     return None
 
 
-def _prism_mask(g: Graph, sub: int) -> Optional[ConfigWitness]:
-    adj = g._adj
-    if sub.bit_count() < _MIN_NODES["prism"]:
-        return None
+def _three_path(g: Graph, kind: str) -> Optional[ConfigWitness]:
+    sub = g.full_mask()
     deg3 = _degree3(g, sub)
-    if deg3 is None or deg3.bit_count() != 6:
-        return None
-    tris = _triangles(g, sub)
-    if len(tris) != 2:
-        return None
-    ta, tb = tris
-    ta_mask, tb_mask = mask_of(ta), mask_of(tb)
-    if ta_mask & tb_mask or (ta_mask | tb_mask) != deg3:
-        return None
-    # the three paths end at distinct nodes of tb: each has degree 3,
-    # so one neighbor outside its triangle
-    paths = []
-    covered = 0
-    for a_i in ta:
-        out = adj[a_i] & sub & ~ta_mask
-        if out.bit_count() != 1:
-            return None
-        path = walk(g, sub, a_i, out.bit_length() - 1, tb_mask | ta_mask)
-        if path is None or not tb_mask >> path[-1] & 1:
-            return None
-        covered |= mask_of(path)
-        paths.append(path)
-    if covered != sub:
-        return None
-    return ConfigWitness("prism", frozenset(bits(sub)),
-                         {"triangles": [list(ta), list(tb)], "paths": paths})
-
-
-def _pyramid_mask(g: Graph, sub: int) -> Optional[ConfigWitness]:
-    adj = g._adj
-    if sub.bit_count() < _MIN_NODES["pyramid"]:
-        return None
-    deg3 = _degree3(g, sub)
-    if deg3 is None or deg3.bit_count() != 4:
-        return None
-    tris = _triangles(g, sub)
-    if len(tris) != 1:
-        return None
-    tri = tris[0]
-    tri_mask = mask_of(tri)
-    if tri_mask & ~deg3:
-        return None
-    apex_mask = deg3 & ~tri_mask
-    if apex_mask.bit_count() != 1:
-        return None
-    apex = apex_mask.bit_length() - 1
-    paths = []
-    covered = 0
-    for b_i in tri:
-        out = adj[b_i] & sub & ~tri_mask
-        if out.bit_count() != 1:
-            return None
-        path = walk(g, sub, b_i, out.bit_length() - 1, apex_mask | tri_mask)
-        if path is None or path[-1] != apex:
-            return None
-        covered |= mask_of(path)
-        paths.append(path[::-1])
-    # at most one path of length 1 (the 2-node walk b_i, apex)
-    if sum(len(p) == 2 for p in paths) > 1 or covered != sub:
-        return None
-    return ConfigWitness("pyramid", frozenset(bits(sub)),
-                         {"apex": apex, "triangle": list(tri), "paths": paths})
-
-
-_CHECKS = {"theta": _theta_mask, "wheel": _wheel_mask,
-           "prism": _prism_mask, "pyramid": _pyramid_mask}
+    w = None if deg3 is None else _three_path_mask(g, sub, deg3)
+    return w if w is not None and w.kind == kind else None
 
 
 # -- public predicates -------------------------------------------------------
 
 def is_theta(g: Graph) -> Optional[ConfigWitness]:
     """Witness iff the whole graph is a theta."""
-    return _theta_mask(g, g.full_mask())
+    return _three_path(g, "theta")
 
 
 def is_wheel(g: Graph) -> Optional[ConfigWitness]:
@@ -227,12 +182,12 @@ def is_wheel(g: Graph) -> Optional[ConfigWitness]:
 
 def is_prism(g: Graph) -> Optional[ConfigWitness]:
     """Witness iff the whole graph is a prism."""
-    return _prism_mask(g, g.full_mask())
+    return _three_path(g, "prism")
 
 
 def is_pyramid(g: Graph) -> Optional[ConfigWitness]:
     """Witness iff the whole graph is a pyramid."""
-    return _pyramid_mask(g, g.full_mask())
+    return _three_path(g, "pyramid")
 
 
 def is_long_pyramid(g: Graph) -> bool:
@@ -275,66 +230,53 @@ def scan_configs(g: Graph, kinds: Sequence[str] = KINDS,
 
 
 def _validate_kinds(kinds: Sequence[str]) -> tuple[str, ...]:
-    if isinstance(kinds, str):  # one kind name, not a sequence of letters
-        kinds = (kinds,)
-    wanted = tuple(k for k in KINDS if k in set(kinds))
-    unknown = set(kinds) - set(KINDS)
+    # a bare string is one kind name, not a sequence of letters; any
+    # other iterable is read once
+    given = {kinds} if isinstance(kinds, str) else set(kinds)
+    unknown = given - set(KINDS)
     if unknown:
         raise ValueError(f"unknown configuration kinds: {sorted(unknown)}")
-    if not wanted:
+    if not given:
         raise ValueError("no configuration kinds requested")
-    return wanted
+    return tuple(k for k in KINDS if k in given)
+
+
+_WHEEL_ONLY = frozenset(("wheel",))
 
 
 def _scan(g: Graph, wanted: tuple[str, ...], first_only: bool) -> dict:
     adj = g._adj
     found: dict[str, Optional[ConfigWitness]] = {k: None for k in wanted}
     remaining = set(wanted)
-    min_size = min(_MIN_NODES[k] for k in wanted)
     nodes = list(range(g.n))
-    for size in range(min_size, g.n + 1):
-        sizes_ok = [k for k in remaining if _MIN_NODES[k] <= size]
-        if not sizes_ok:
-            continue
+    for size in range(min(_MIN_NODES[k] for k in wanted), g.n + 1):
         for combo in combinations(nodes, size):
             sub = mask_of(combo)
-            # all four kinds have minimum degree 2 inside the subgraph
-            ok = True
-            d3 = dhi = 0  # counts of degree-3 and degree->=4 nodes
+            # every kind has minimum degree 2 inside the subgraph, and
+            # only a wheel's center may exceed degree 3
+            deg3 = high = 0  # high: the count of nodes of degree >= 4
             for v in combo:
                 d = (adj[v] & sub).bit_count()
                 if d <= 1:
-                    ok = False
                     break
                 if d == 3:
-                    d3 += 1
+                    deg3 |= 1 << v
                 elif d > 3:
-                    dhi += 1
-            if not ok:
-                continue
-            for kind in wanted:
-                if found[kind] is not None:
-                    continue
-                if kind == "theta":
-                    if d3 != 2 or dhi:
-                        continue
-                elif kind == "prism":
-                    if d3 != 6 or dhi:
-                        continue
-                elif kind == "pyramid":
-                    if d3 != 4 or dhi:
-                        continue
-                else:  # wheel: at most the center may exceed degree 3
-                    if dhi > 1:
-                        continue
-                w = _CHECKS[kind](g, sub)
-                if w is not None:
-                    found[kind] = w
-                    if first_only:
-                        return found
-                    remaining.discard(kind)
-        if not remaining:
-            break
+                    high += 1
+            else:
+                # a pyramid with a path of length 1 is also a wheel, and
+                # no other two kinds share a subset: read the wheel first
+                hits = []
+                if "wheel" in remaining and high <= 1:
+                    hits.append(_wheel_mask(g, sub))
+                if not high and not remaining <= _WHEEL_ONLY:
+                    hits.append(_three_path_mask(g, sub, deg3))
+                for w in hits:
+                    if w is not None and w.kind in remaining:
+                        found[w.kind] = w
+                        remaining.discard(w.kind)
+                        if first_only or not remaining:
+                            return found
     return found
 
 

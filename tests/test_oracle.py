@@ -2,13 +2,17 @@ import random
 
 import pytest
 
-from truemper.graph import Graph, induced_subgraph
-from truemper.oracle import (KINDS, OracleScaleError, contains_config,
-                             has_star_cutset, is_long_pyramid, is_prism,
-                             is_pyramid, is_theta, is_wheel, scan_configs)
+from truemper.graph import Graph, bits, induced_subgraph
+from truemper.oracle import (KINDS, OracleScaleError, _three_path_mask,
+                             contains_config, has_star_cutset, is_long_pyramid,
+                             is_prism, is_pyramid, is_theta, is_wheel,
+                             scan_configs)
 from truemper.gen import make_pyramid
 
-from util import all_graphs, config_templates, random_graph, template_contains
+from util import (all_graphs, config_templates, random_graph,
+                  reference_degree3, reference_prism_mask,
+                  reference_pyramid_mask, reference_theta_mask,
+                  template_contains)
 
 K23 = Graph.from_edge_list(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
 PRISM6 = Graph.from_edge_list(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5),
@@ -94,6 +98,57 @@ class TestWitnessStructure:
         assert not is_long_pyramid(g)
 
 
+class TestThreePathReader:
+    # one reader for thetas, pyramids and prisms: the kind follows from
+    # the ends, and the witness must be the old per-kind check's
+
+    REFERENCES = {"theta": reference_theta_mask, "prism": reference_prism_mask,
+                  "pyramid": reference_pyramid_mask}
+
+    def assert_matches_references(self, g):
+        for sub in range(1 << g.n):
+            deg3 = reference_degree3(g, sub)
+            if deg3 is None:
+                continue
+            got = _three_path_mask(g, sub, deg3)
+            for kind, reference in self.REFERENCES.items():
+                want = reference(g, sub)
+                assert (got if got is not None and got.kind == kind else None) == want, \
+                    (g.edges(), bits(sub))
+
+    def test_matches_per_kind_checks_on_templates(self):
+        for graphs in config_templates(9).values():
+            for g in graphs:
+                self.assert_matches_references(g)
+
+    def test_matches_per_kind_checks_on_random_graphs(self):
+        rng = random.Random(37)
+        for n in range(7, 12):
+            for _ in range(100):
+                self.assert_matches_references(
+                    random_graph(rng, n, rng.choice([0.25, 0.35, 0.45, 0.6])))
+
+    def test_theta_with_adjacent_ends_is_rejected(self):
+        # a, b = 0, 1 joined by paths of lengths 1, 3 and 3
+        g = Graph.from_edge_list(6, [(0, 1), (0, 2), (2, 3), (3, 1),
+                                     (0, 4), (4, 5), (5, 1)])
+        assert is_theta(g) is None and is_pyramid(g) is None and is_prism(g) is None
+
+    def test_pyramid_with_two_short_paths_is_rejected(self):
+        # apex 0 next to triangle nodes 1 and 2; its triangle 0 1 2 meets
+        # the triangle 1 2 3
+        g = Graph.from_edge_list(6, [(1, 2), (1, 3), (2, 3), (0, 1), (0, 2),
+                                     (0, 4), (4, 5), (5, 3)])
+        assert is_pyramid(g) is None and is_theta(g) is None and is_prism(g) is None
+
+    def test_k3_times_k2_is_a_prism(self):
+        # three paths of length 1 join the two triangles
+        w = is_prism(PRISM6)
+        assert w.structure == {"triangles": [[0, 1, 2], [3, 4, 5]],
+                               "paths": [[0, 3], [1, 4], [2, 5]]}
+        assert is_pyramid(PRISM6) is None and is_theta(PRISM6) is None
+
+
 class TestLongPyramid:
     def test_all_paths_length_two(self):
         assert is_long_pyramid(make_pyramid((2, 2, 2)))
@@ -147,6 +202,11 @@ class TestContainsConfig:
             assert scan_configs(g, kind) == scan_configs(g, (kind,))
         assert scan_configs(K23, "theta") == scan_configs(K23, ("theta",))
         assert contains_config(g, "wheel") is not None
+
+    def test_one_shot_iterable_of_kinds(self):
+        g = make_pyramid((1, 2, 2))
+        assert (scan_configs(g, iter(["wheel", "pyramid"]))
+                == scan_configs(g, ("wheel", "pyramid")))
 
     def test_deterministic_witness(self):
         g = make_pyramid((1, 2, 2))

@@ -1,9 +1,10 @@
 """Shared helpers for the test suite: exhaustive small-graph enumeration,
 a small-n isomorphism check, an independent template-based oracle for
 the four configurations, and the plain versions of the claw and diamond
-finders, the chord test, the clique-enumerating root search and the
-per-node 2-join forcing closure that the library's bitset,
-bounded-candidate and mask-algebra versions must match exactly."""
+finders, the chord test, the clique-enumerating root search, the
+per-node 2-join forcing closure and the per-kind theta, prism and
+pyramid checks that the library's bitset, bounded-candidate,
+mask-algebra and three-path versions must match exactly."""
 
 from __future__ import annotations
 
@@ -15,7 +16,8 @@ from typing import Iterator, Optional, Sequence
 from truemper.basic import _root_with_edge_map, line_graph
 from truemper.gen import random_tf_chordless
 from truemper.graph import (Graph, biconnected_blocks, bits, cliques,
-                            is_triangle_free, mask_of)
+                            is_triangle_free, mask_of, walk)
+from truemper.oracle import _MIN_NODES, ConfigWitness
 from truemper.twojoin import TwoJoinSplit, _split_of_masks, validate_split
 
 PAIRS = {n: list(combinations(range(n), 2)) for n in range(0, 13)}
@@ -445,3 +447,130 @@ def reference_fixpoints(g: Graph) -> list[tuple[int, int, int, int, int]]:
             if y1:
                 out.append((a1, a2, b1, b2, y1))
     return out
+
+
+# -- the per-kind theta, prism and pyramid checks ------------------------------
+# The oracle's structural checks before one three-path reader replaced them,
+# kept as written; the reader must return the same witness on every subset.
+
+def reference_degree3(g: Graph, sub: int) -> Optional[int]:
+    """The nodes of degree 3 in G[sub] as a mask, or None if some node of
+    sub has a degree other than 2 or 3 there."""
+    adj = g._adj
+    deg3 = 0
+    for v in bits(sub):
+        d = (adj[v] & sub).bit_count()
+        if d == 3:
+            deg3 |= 1 << v
+        elif d != 2:
+            return None
+    return deg3
+
+
+def reference_triangles(g: Graph, sub: int) -> list[tuple[int, int, int]]:
+    adj = g._adj
+    out = []
+    nodes = bits(sub)
+    for i, u in enumerate(nodes):
+        for v in nodes[i + 1:]:
+            if not adj[u] & (1 << v):
+                continue
+            common = adj[u] & adj[v] & sub
+            for w in bits(common):
+                if w > v:
+                    out.append((u, v, w))
+    return out
+
+
+def reference_theta_mask(g: Graph, sub: int) -> Optional[ConfigWitness]:
+    adj = g._adj
+    if sub.bit_count() < _MIN_NODES["theta"]:
+        return None
+    deg3 = reference_degree3(g, sub)
+    if deg3 is None or deg3.bit_count() != 2:
+        return None
+    a, b = bits(deg3)
+    if adj[a] & (1 << b):
+        return None
+    paths = []
+    for first in bits(adj[a] & sub):
+        path = walk(g, sub, a, first, 1 << b)
+        if path is None:
+            return None
+        paths.append(path)
+    # three walks that end at b are internally disjoint; they cover sub
+    # iff their interiors hold the other |sub| - 2 nodes
+    if sum(map(len, paths)) != sub.bit_count() + 4:
+        return None
+    paths.sort(key=lambda p: min(p[1:-1]))
+    return ConfigWitness("theta", frozenset(bits(sub)),
+                         {"a": a, "b": b, "paths": paths})
+
+
+def reference_prism_mask(g: Graph, sub: int) -> Optional[ConfigWitness]:
+    adj = g._adj
+    if sub.bit_count() < _MIN_NODES["prism"]:
+        return None
+    deg3 = reference_degree3(g, sub)
+    if deg3 is None or deg3.bit_count() != 6:
+        return None
+    tris = reference_triangles(g, sub)
+    if len(tris) != 2:
+        return None
+    ta, tb = tris
+    ta_mask, tb_mask = mask_of(ta), mask_of(tb)
+    if ta_mask & tb_mask or (ta_mask | tb_mask) != deg3:
+        return None
+    # the three paths end at distinct nodes of tb: each has degree 3,
+    # so one neighbor outside its triangle
+    paths = []
+    covered = 0
+    for a_i in ta:
+        out = adj[a_i] & sub & ~ta_mask
+        if out.bit_count() != 1:
+            return None
+        path = walk(g, sub, a_i, out.bit_length() - 1, tb_mask | ta_mask)
+        if path is None or not tb_mask >> path[-1] & 1:
+            return None
+        covered |= mask_of(path)
+        paths.append(path)
+    if covered != sub:
+        return None
+    return ConfigWitness("prism", frozenset(bits(sub)),
+                         {"triangles": [list(ta), list(tb)], "paths": paths})
+
+
+def reference_pyramid_mask(g: Graph, sub: int) -> Optional[ConfigWitness]:
+    adj = g._adj
+    if sub.bit_count() < _MIN_NODES["pyramid"]:
+        return None
+    deg3 = reference_degree3(g, sub)
+    if deg3 is None or deg3.bit_count() != 4:
+        return None
+    tris = reference_triangles(g, sub)
+    if len(tris) != 1:
+        return None
+    tri = tris[0]
+    tri_mask = mask_of(tri)
+    if tri_mask & ~deg3:
+        return None
+    apex_mask = deg3 & ~tri_mask
+    if apex_mask.bit_count() != 1:
+        return None
+    apex = apex_mask.bit_length() - 1
+    paths = []
+    covered = 0
+    for b_i in tri:
+        out = adj[b_i] & sub & ~tri_mask
+        if out.bit_count() != 1:
+            return None
+        path = walk(g, sub, b_i, out.bit_length() - 1, apex_mask | tri_mask)
+        if path is None or path[-1] != apex:
+            return None
+        covered |= mask_of(path)
+        paths.append(path[::-1])
+    # at most one path of length 1 (the 2-node walk b_i, apex)
+    if sum(len(p) == 2 for p in paths) > 1 or covered != sub:
+        return None
+    return ConfigWitness("pyramid", frozenset(bits(sub)),
+                         {"apex": apex, "triangle": list(tri), "paths": paths})
