@@ -29,34 +29,34 @@ from typing import Iterator, Optional
 
 from .decomp import INTERNAL, DecompNode, DecompTree, StepResult, decompose
 from .graph import (Graph, bits, cliques, components_masks, induced_subgraph,
-                    is_clique_graph, mask_of)
+                    is_clique_graph)
 
 
 @dataclass(frozen=True)
 class CliqueSplit:
-    """A certified clique-cutset partition (A, K, B) of a graph."""
+    """A certified clique-cutset partition (A, K, B) of a graph, each
+    part a node bitmask."""
 
-    A: frozenset[int]
-    K: frozenset[int]
-    B: frozenset[int]
+    A: int
+    K: int
+    B: int
 
     def to_json(self) -> dict:
-        return {"A": sorted(self.A), "K": sorted(self.K), "B": sorted(self.B)}
+        return {"A": bits(self.A), "K": bits(self.K), "B": bits(self.B)}
 
 
 def validate_clique_split(g: Graph, s: CliqueSplit) -> None:
     """Raise ValueError unless s is a valid clique-cutset split of g."""
-    a, k, b = mask_of(s.A), mask_of(s.K), mask_of(s.B)
+    a, k, b = s.A, s.K, s.B
     if a & k or a & b or k & b or (a | k | b) != g.full_mask():
         raise ValueError("A, K, B must partition the node set")
-    if not s.A or not s.B:
+    if not a or not b:
         raise ValueError("A and B must be nonempty")
-    klist = sorted(s.K)
-    for i, u in enumerate(klist):
-        for v in klist[i + 1:]:
-            if not g.has_edge(u, v):
-                raise ValueError(f"K is not a clique: {u} and {v} are non-adjacent")
-    for u in s.A:
+    for u in bits(k):  # names the lexicographically first non-adjacent pair
+        missing = k & ~g.adj_mask(u) & -2 << u
+        if missing:
+            raise ValueError(f"K is not a clique: {u} and {bits(missing)[0]} are non-adjacent")
+    for u in bits(a):
         if g.adj_mask(u) & b:
             raise ValueError(f"edge between A and B at node {u}")
 
@@ -93,8 +93,7 @@ def find_clique_cutset(g: Graph) -> Optional[CliqueSplit]:
     if len(comps) >= 2:
         a_mask = sum(comps[:len(comps) // 2])  # disjoint masks: sum = union
         b_mask = g.full_mask() & ~a_mask
-        return CliqueSplit(frozenset(bits(a_mask)), frozenset(),
-                           frozenset(bits(b_mask)))
+        return CliqueSplit(a_mask, 0, b_mask)
     if is_clique_graph(g):
         return None
     # the smallest A by size, then by sorted node list: of two node sets
@@ -113,23 +112,20 @@ def find_clique_cutset(g: Graph) -> Optional[CliqueSplit]:
         nbhd |= g.adj_mask(v)
     k_mask = nbhd & ~a_mask
     b_mask = g.full_mask() & ~a_mask & ~k_mask
-    return CliqueSplit(frozenset(bits(a_mask)), frozenset(bits(k_mask)),
-                       frozenset(bits(b_mask)))
+    return CliqueSplit(a_mask, k_mask, b_mask)
 
 
 def blocks_of_clique_split(g: Graph, s: CliqueSplit) -> tuple[tuple[Graph, tuple[int, ...]],
                                                               tuple[Graph, tuple[int, ...]]]:
     """The induced blocks G[A + K] and G[K + B], each with its id map."""
     validate_clique_split(g, s)
-    ga = induced_subgraph(g, s.A | s.K)
-    gb = induced_subgraph(g, s.K | s.B)
-    return ga, gb
+    return induced_subgraph(g, bits(s.A | s.K)), induced_subgraph(g, bits(s.K | s.B))
 
 
 def _dot_label(node: DecompNode) -> str:
     if node.is_leaf:
         return f"leaf n={node.graph.n}"
-    k = ",".join(str(v) for v in sorted(node.split.K))
+    k = ",".join(map(str, bits(node.split.K)))
     return f"n={node.graph.n} K={{{k}}}"
 
 

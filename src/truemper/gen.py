@@ -131,22 +131,33 @@ def _make_clique(k: int) -> Graph:
     return Graph.from_edge_list(k, [(u, v) for u in range(k) for v in range(u + 1, k)])
 
 
+def _three_path_graph(near: Sequence[int], far: Sequence[int],
+                      lengths: Sequence[int]) -> Graph:
+    """Three paths, the i-th of length lengths[i] from near[i] to far[i].
+
+    The end nodes are 0 .. max(near + far); three distinct ascending ids
+    make an end a triangle.  The interior nodes follow, path by path.
+    """
+    edges = set()
+    for ends in (near, far):
+        if len(set(ends)) == 3:
+            edges |= {(ends[0], ends[1]), (ends[0], ends[2]), (ends[1], ends[2])}
+    nxt = max(*near, *far) + 1
+    for prev, end, length in zip(near, far, lengths):
+        for _ in range(length - 1):
+            edges.add((prev, nxt))
+            prev, nxt = nxt, nxt + 1
+        edges.add((prev, end))
+    return Graph.from_edge_list(nxt, edges)
+
+
 def make_pyramid(lengths: Sequence[int]) -> Graph:
     """The pyramid with the given three path lengths (apex is node 0,
     triangle nodes are 1, 2, 3)."""
     l1, l2, l3 = lengths
     if sorted((l1, l2, l3))[1] < 2 or min(l1, l2, l3) < 1:
         raise ValueError("pyramid needs lengths >= 1 with at least two >= 2")
-    edges = [(1, 2), (1, 3), (2, 3)]
-    nxt = 4
-    for b, length in ((1, l1), (2, l2), (3, l3)):
-        prev = 0
-        for _ in range(length - 1):
-            edges.append((min(prev, nxt), max(prev, nxt)))
-            prev = nxt
-            nxt += 1
-        edges.append((min(prev, b), max(prev, b)))
-    return Graph.from_edge_list(nxt, sorted(set(edges)))
+    return _three_path_graph((0, 0, 0), (1, 2, 3), (l1, l2, l3))
 
 
 def _random_safe_labeled_tree(rng: random.Random) -> Optional[LabeledSafeTree]:
@@ -354,17 +365,7 @@ def replay_recipe(recipe: SynthRecipe) -> Graph:
 def _random_pattern(rng: random.Random, kind: str) -> Graph:
     if kind == "theta":
         lengths = sorted(rng.randint(2, 4) for _ in range(3))
-        a, b = 0, 1
-        edges = []
-        nxt = 2
-        for length in lengths:
-            prev = a
-            for _ in range(length - 1):
-                edges.append((prev, nxt))
-                prev = nxt
-                nxt += 1
-            edges.append((prev, b))
-        return Graph.from_edge_list(nxt, sorted({(min(u, v), max(u, v)) for u, v in edges}))
+        return _three_path_graph((0, 0, 0), (1, 1, 1), lengths)
     if kind == "wheel":
         k = rng.randint(4, 7)
         rim = _make_hole(k)
@@ -374,16 +375,7 @@ def _random_pattern(rng: random.Random, kind: str) -> Graph:
         return Graph.from_edge_list(k + 1, edges)
     if kind == "prism":
         lengths = [rng.randint(1, 3) for _ in range(3)]
-        edges = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
-        nxt = 6
-        for a, b, length in ((0, 3, lengths[0]), (1, 4, lengths[1]), (2, 5, lengths[2])):
-            prev = a
-            for _ in range(length - 1):
-                edges.append((prev, nxt))
-                prev = nxt
-                nxt += 1
-            edges.append((min(prev, b), max(prev, b)))
-        return Graph.from_edge_list(nxt, sorted(set(edges)))
+        return _three_path_graph((0, 1, 2), (3, 4, 5), lengths)
     if kind == "pyramid":
         lengths = sorted(rng.randint(1, 3) for _ in range(3))
         while lengths[1] < 2:

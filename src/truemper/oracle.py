@@ -241,7 +241,8 @@ def _validate_kinds(kinds: Sequence[str]) -> tuple[str, ...]:
     return tuple(k for k in KINDS if k in given)
 
 
-_WHEEL_ONLY = frozenset(("wheel",))
+# a three-path configuration's kind by its degree-3 nodes, its two ends
+_KIND_BY_DEGREE3 = {2: "theta", 4: "pyramid", 6: "prism"}
 
 
 def _scan(g: Graph, wanted: tuple[str, ...], first_only: bool) -> dict:
@@ -269,7 +270,7 @@ def _scan(g: Graph, wanted: tuple[str, ...], first_only: bool) -> dict:
                 hits = []
                 if "wheel" in remaining and high <= 1:
                     hits.append(_wheel_mask(g, sub))
-                if not high and not remaining <= _WHEEL_ONLY:
+                if not high and _KIND_BY_DEGREE3.get(deg3.bit_count()) in remaining:
                     hits.append(_three_path_mask(g, sub, deg3))
                 for w in hits:
                     if w is not None and w.kind in remaining:
@@ -282,9 +283,9 @@ def _scan(g: Graph, wanted: tuple[str, ...], first_only: bool) -> dict:
 
 # -- star cutsets ------------------------------------------------------------
 
-def has_star_cutset(g: Graph) -> Optional[tuple[int, frozenset[int]]]:
-    """A (center, cutset) pair where the cutset lies in the closed
-    neighborhood of its center, or None.
+def has_star_cutset(g: Graph) -> Optional[tuple[int, int]]:
+    """A (center, cutset) pair where the cutset, a node bitmask, lies in
+    the closed neighborhood of its center, or None.
 
     Scans centers ascending; for each the candidate cutset is the closed
     neighborhood minus a pair of surviving nodes, then greedily minimized.
@@ -306,5 +307,5 @@ def has_star_cutset(g: Graph) -> Optional[tuple[int, frozenset[int]]]:
                     trial = s_mask & ~(1 << s)
                     if not reach(g, 1 << u, full & ~trial) & (1 << v):
                         s_mask = trial
-                return x, frozenset(bits(s_mask))
+                return x, s_mask
     return None

@@ -23,23 +23,24 @@ from typing import Iterator, Optional
 
 from .decomp import INTERNAL, DecompNode, DecompTree, StepResult, decompose
 from .graph import (Graph, bits, components_masks, induced_subgraph,
-                    is_clique_graph, is_clique_mask, is_hole_graph, mask_of,
-                    path_order, reach)
+                    is_clique_graph, is_clique_mask, is_hole_graph, path_order,
+                    reach)
 
 
 @dataclass(frozen=True)
 class TwoJoinSplit:
-    """A (candidate) split; validity is checked by validate_split."""
+    """A (candidate) split, each set a node bitmask; validity is checked
+    by validate_split."""
 
-    X1: frozenset[int]
-    X2: frozenset[int]
-    A1: frozenset[int]
-    A2: frozenset[int]
-    B1: frozenset[int]
-    B2: frozenset[int]
+    X1: int
+    X2: int
+    A1: int
+    A2: int
+    B1: int
+    B2: int
 
     def to_json(self) -> dict:
-        return {name: sorted(getattr(self, name))
+        return {name: bits(getattr(self, name))
                 for name in ("X1", "X2", "A1", "A2", "B1", "B2")}
 
 
@@ -57,9 +58,7 @@ def validate_split(g: Graph, s: TwoJoinSplit, mode: str = "full") -> ValidationR
     2-join) definition; the report names the first violated clause."""
     if mode not in ("almost", "full"):
         raise ValueError(f"mode must be 'almost' or 'full', got {mode!r}")
-    x1, x2 = mask_of(s.X1), mask_of(s.X2)
-    a1, a2 = mask_of(s.A1), mask_of(s.A2)
-    b1, b2 = mask_of(s.B1), mask_of(s.B2)
+    x1, x2, a1, a2, b1, b2 = s.X1, s.X2, s.A1, s.A2, s.B1, s.B2
     if x1 & x2 or (x1 | x2) != g.full_mask():
         return ValidationReport(False, "X1 and X2 must partition the node set")
     for name, spec_mask, side in (("A1", a1, x1), ("B1", b1, x1),
@@ -120,8 +119,7 @@ def is_consistent(g: Graph, s: TwoJoinSplit) -> tuple[bool, Optional[int]]:
     rep = validate_split(g, s, mode="almost")
     if not rep:
         raise ValueError(f"not an almost 2-join: {rep.violation}")
-    sides = ((mask_of(s.X1), mask_of(s.A1), mask_of(s.B1)),
-             (mask_of(s.X2), mask_of(s.A2), mask_of(s.B2)))
+    sides = ((s.X1, s.A1, s.B1), (s.X2, s.A2, s.B2))
 
     # 1: components of each side meet both special sets
     for side, am, bm in sides:
@@ -241,8 +239,8 @@ def find_2join(g: Graph) -> Optional[TwoJoinSplit]:
         x2 = full & ~x1
         if x1.bit_count() < 3 or x2.bit_count() < 3:
             continue
-        split = _split_of_masks(x1, x2, adj[a2] & x1, adj[a1] & x2,
-                                adj[b2] & x1, adj[b1] & x2)
+        split = TwoJoinSplit(x1, x2, adj[a2] & x1, adj[a1] & x2,
+                             adj[b2] & x1, adj[b1] & x2)
         if validate_split(g, split, mode="full"):
             return split
     return None
@@ -360,11 +358,6 @@ def _closure(adj: tuple[int, ...], na2: int, nb2: int, dead: int,
     return x1, in_a, out_a, in_b, out_b
 
 
-def _split_of_masks(*masks: int) -> TwoJoinSplit:
-    """The split with X1, X2, A1, A2, B1, B2 given as bitmasks."""
-    return TwoJoinSplit(*(frozenset(bits(m)) for m in masks))
-
-
 def _bundles_of_partition(g: Graph, x1: int, x2: int) -> Optional[tuple[int, int, int, int]]:
     """Derive (A1, B1, A2, B2) masks forced by a partition, or None if
     the crossing edges do not form exactly two complete bundles."""
@@ -403,7 +396,7 @@ def _brute_splits(g: Graph, mode: str) -> Iterator[TwoJoinSplit]:
         if bundles is None:
             continue
         a1, b1, a2, b2 = bundles
-        split = _split_of_masks(x1, x2, a1, a2, b1, b2)
+        split = TwoJoinSplit(x1, x2, a1, a2, b1, b2)
         if validate_split(g, split, mode=mode):
             yield split
 
@@ -447,16 +440,20 @@ def blocks_of_2join(g: Graph, s: TwoJoinSplit) -> tuple[
     return g1, g2
 
 
-def _one_block(g: Graph, x_set: frozenset[int], a_set: frozenset[int],
-               b_set: frozenset[int]) -> tuple[Graph, tuple[Optional[int], ...]]:
-    side, origin = induced_subgraph(g, x_set)
-    pos = {old: i for i, old in enumerate(origin)}
+def _renumbered(mask: int, origin: tuple[int, ...], start: int = 0) -> int:
+    """The nodes of mask under the ids start + i of an induced subgraph
+    whose node i is origin[i]."""
+    return sum(1 << start + i for i, old in enumerate(origin) if mask >> old & 1)
+
+
+def _one_block(g: Graph, x: int, a: int, b: int) -> tuple[Graph, tuple[Optional[int], ...]]:
+    side, origin = induced_subgraph(g, bits(x))
+    a, b = _renumbered(a, origin), _renumbered(b, origin)
     ma, mc, mb = side.n, side.n + 1, side.n + 2
-    rows = list(side._adj) + [1 << mc, (1 << ma) | (1 << mb), 1 << mc]
-    for side_set, marker in ((a_set, ma), (b_set, mb)):
-        for v in side_set:
-            rows[pos[v]] |= 1 << marker
-            rows[marker] |= 1 << pos[v]
+    rows = list(side._adj) + [1 << mc | a, (1 << ma) | (1 << mb), 1 << mc | b]
+    for special, marker in ((a, ma), (b, mb)):
+        for v in bits(special):
+            rows[v] |= 1 << marker
     block = Graph.derived(side.n + 3, rows)
     return block, origin + (None, None, None)
 
@@ -477,10 +474,10 @@ def check_marker_precondition(g: Graph, marker: tuple[int, int, int]) -> TwoJoin
         raise ValueError("marker path ends are adjacent")
     if g.degree(c) != 2:
         raise ValueError("marker middle node must have degree 2")
-    markers = frozenset((a, c, b))
-    split = TwoJoinSplit(frozenset(range(g.n)) - markers, markers,
-                         frozenset(bits(g.adj_mask(a))) - {c}, frozenset({a}),
-                         frozenset(bits(g.adj_mask(b))) - {c}, frozenset({b}))
+    markers = (1 << a) | (1 << c) | (1 << b)
+    split = TwoJoinSplit(g.full_mask() & ~markers, markers,
+                         g.adj_mask(a) & ~(1 << c), 1 << a,
+                         g.adj_mask(b) & ~(1 << c), 1 << b)
     rep = validate_split(g, split, mode="almost")
     if not rep:
         raise ValueError(f"marker side is not an almost 2-join: {rep.violation}")
@@ -503,24 +500,18 @@ def compose_2join_with_split(g1: Graph, m1: tuple[int, int, int], g2: Graph,
     """
     s1 = check_marker_precondition(g1, m1)
     s2 = check_marker_precondition(g2, m2)
-    h1, part1 = induced_subgraph(g1, s1.X1)
-    h2, part2 = induced_subgraph(g2, s2.X1)
+    h1, part1 = induced_subgraph(g1, bits(s1.X1))
+    h2, part2 = induced_subgraph(g2, bits(s2.X1))
     off = h1.n
-    pos1 = {old: i for i, old in enumerate(part1)}
-    pos2 = {old: off + i for i, old in enumerate(part2)}
+    a1, b1 = _renumbered(s1.A1, part1), _renumbered(s1.B1, part1)
+    a2, b2 = _renumbered(s2.A1, part2, off), _renumbered(s2.B1, part2, off)
     rows = list(h1._adj) + [row << off for row in h2._adj]
-    for side1, side2 in ((s1.A1, s2.A1), (s1.B1, s2.B1)):
-        bundle1 = mask_of(pos1[u] for u in side1)
-        bundle2 = mask_of(pos2[v] for v in side2)
-        for u in side1:
-            rows[pos1[u]] |= bundle2
-        for v in side2:
-            rows[pos2[v]] |= bundle1
+    for near, far in ((a1, a2), (a2, a1), (b1, b2), (b2, b1)):
+        for v in bits(near):
+            rows[v] |= far
     composed = Graph.derived(off + h2.n, rows)
-    split = TwoJoinSplit(
-        frozenset(range(off)), frozenset(range(off, composed.n)),
-        frozenset(pos1[v] for v in s1.A1), frozenset(pos2[v] for v in s2.A1),
-        frozenset(pos1[v] for v in s1.B1), frozenset(pos2[v] for v in s2.B1))
+    x1 = (1 << off) - 1
+    split = TwoJoinSplit(x1, composed.full_mask() & ~x1, a1, a2, b1, b2)
     # the partition is always an almost 2-join; it is a full 2-join
     # unless a factor's side is a chordless path with singleton specials
     # (e.g. a hole factor), in which case blocks_of_2join refuses it

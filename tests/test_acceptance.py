@@ -246,7 +246,7 @@ def test_criterion_6_twojoin_oracle():
             ok, _ = is_consistent(g, split)
             if ok:
                 consistent_seen += 1
-                if len(split.X1) < 4 or len(split.X2) < 4:
+                if split.X1.bit_count() < 4 or split.X2.bit_count() < 4:
                     failures.append(("size-lemma", g.edges()))
     ok = not failures
     _report(6, f"2-join detection vs exhaustive enumeration on {checked} "

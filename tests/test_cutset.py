@@ -6,7 +6,8 @@ import pytest
 from truemper.cutset import (CliqueSplit, blocks_of_clique_split,
                              clique_decomposition_tree, find_clique_cutset,
                              validate_clique_split)
-from truemper.graph import Graph, components_masks, induced_subgraph, mask_of
+from truemper.graph import (Graph, bits, components_masks, induced_subgraph,
+                            mask_of)
 from truemper.oracle import has_star_cutset, scan_configs
 
 from util import (all_graphs, assert_revalidates, gnp_graphs,
@@ -75,8 +76,8 @@ def brute_smallest_a(g):
 class TestFindCliqueCutset:
     def test_diamond(self):
         s = find_clique_cutset(DIAMOND)
-        assert s.K == frozenset({0, 1})
-        assert s.A in (frozenset({2}), frozenset({3}))
+        assert s.K == mask_of({0, 1})
+        assert s.A in (mask_of({2}), mask_of({3}))
 
     def test_c5_has_none(self):
         assert find_clique_cutset(C5) is None
@@ -84,8 +85,8 @@ class TestFindCliqueCutset:
     def test_disconnected_gets_empty_clique(self):
         g = Graph.from_edge_list(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
         s = find_clique_cutset(g)
-        assert s.K == frozenset()
-        assert s.A == frozenset({0, 1, 2})
+        assert s.K == 0
+        assert s.A == mask_of({0, 1, 2})
 
     def test_matches_brute_force(self):
         for n in range(1, 6):
@@ -102,7 +103,7 @@ class TestFindCliqueCutset:
         for g in corpus:
             s = find_clique_cutset(g)
             want = None if g.n <= 1 else brute_smallest_a(g)
-            assert (None if s is None else sorted(s.A)) == want, g.edges()
+            assert (None if s is None else bits(s.A)) == want, g.edges()
 
     def test_returned_split_is_valid(self):
         rng = random.Random(8)
@@ -133,7 +134,7 @@ class TestBlocks:
         assert {ga.m, gb.m} == {1} and {ga.n, gb.n} == {2}
 
     def test_bowtie_blocks(self):
-        s = CliqueSplit(frozenset({0, 1}), frozenset({2}), frozenset({3, 4}))
+        s = CliqueSplit(mask_of({0, 1}), mask_of({2}), mask_of({3, 4}))
         (ga, _), (gb, _) = blocks_of_clique_split(BOWTIE, s)
         assert ga.n == 3 and ga.m == 3
         assert gb.n == 3 and gb.m == 3
@@ -146,9 +147,29 @@ class TestBlocks:
                     assert_revalidates(block)
 
     def test_invalid_split_rejected(self):
-        bad = CliqueSplit(frozenset({0}), frozenset({2, 3}), frozenset({1}))
+        bad = CliqueSplit(mask_of({0}), mask_of({2, 3}), mask_of({1}))
         with pytest.raises(ValueError):
             blocks_of_clique_split(C5, bad)
+
+
+# one case per clause of validate_clique_split, in the order it checks
+# them: (graph, A, K, B, the message it raises)
+C6 = Graph.from_edge_list(6, [(i, (i + 1) % 6) for i in range(6)])
+CLIQUE_SPLIT_VIOLATIONS = [
+    (BOWTIE, {0, 1}, {2}, {3}, "A, K, B must partition the node set"),
+    (BOWTIE, set(), {2}, {0, 1, 3, 4}, "A and B must be nonempty"),
+    # three non-adjacent pairs in K: the first one is named
+    (C6, {0}, {1, 3, 5}, {2, 4}, "K is not a clique: 1 and 3 are non-adjacent"),
+    (DIAMOND, {2, 3}, {0}, {1}, "edge between A and B at node 2"),
+]
+
+
+@pytest.mark.parametrize("case", CLIQUE_SPLIT_VIOLATIONS, ids=lambda case: case[-1])
+def test_each_clique_split_clause_names_its_violation(case):
+    g, *node_sets, message = case
+    with pytest.raises(ValueError) as err:
+        validate_clique_split(g, CliqueSplit(*map(mask_of, node_sets)))
+    assert str(err.value) == message
 
 
 class TestDecompositionTree:
@@ -207,14 +228,13 @@ class TestDecompositionTree:
         # so the tree is not always a caterpillar
         two_p3 = Graph.from_edge_list(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
         root = clique_decomposition_tree(two_p3).root
-        assert root.split == CliqueSplit(frozenset({0, 1, 2}), frozenset(),
-                                         frozenset({3, 4, 5}))
+        assert root.split == CliqueSplit(mask_of({0, 1, 2}), 0, mask_of({3, 4, 5}))
         assert not root.children[0].is_leaf
 
     def test_empty_cutset_halves_the_components(self):
         # eight isolated nodes: {0..3} | {4..7}, then pairs, then leaves
         root = clique_decomposition_tree(Graph.from_edge_list(8, [])).root
-        assert root.split.A == frozenset(range(4))
+        assert root.split.A == mask_of(range(4))
         level = [root]
         for _ in range(3):
             assert all(len(node.children) == 2 for node in level)

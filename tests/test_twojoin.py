@@ -66,8 +66,7 @@ def reference_is_consistent(g, s):
     ok, idx = is_consistent(g, s)
     if idx is not None and idx < 7:
         return ok, idx
-    sides = ((mask_of(s.X1), mask_of(s.A1), mask_of(s.B1)),
-             (mask_of(s.X2), mask_of(s.A2), mask_of(s.B2)))
+    sides = ((s.X1, s.A1, s.B1), (s.X2, s.A2, s.B2))
     for side, am, bm in sides:
         if not all(reaches_avoiding(g, side, v, bm, am) for v in bits(side)):
             return False, 7
@@ -75,6 +74,11 @@ def reference_is_consistent(g, s):
         if not all(reaches_avoiding(g, side, v, am, bm) for v in bits(side)):
             return False, 8
     return True, None
+
+
+def split_of(*node_sets):
+    """The TwoJoinSplit with X1, X2, A1, A2, B1, B2 given as node sets."""
+    return TwoJoinSplit(*map(mask_of, node_sets))
 
 
 def sparse_planted_2join(rng, n):
@@ -104,9 +108,29 @@ def sparse_planted_2join(rng, n):
 
 
 C8 = hole(8)
-C8_SPLIT = TwoJoinSplit(frozenset({0, 1, 2, 3}), frozenset({4, 5, 6, 7}),
-                        frozenset({3}), frozenset({4}),
-                        frozenset({0}), frozenset({7}))
+C8_SPLIT = split_of({0, 1, 2, 3}, {4, 5, 6, 7}, {3}, {4}, {0}, {7})
+C8_CHORD = Graph.from_edge_list(8, C8.edges() + [(2, 5)])
+P8 = Graph.from_edge_list(8, [e for e in C8.edges() if e != (1, 2)])
+
+# one case per clause of validate_split, in the order it checks them:
+# (graph, mode, X1, X2, A1, A2, B1, B2, the violation it reports)
+VIOLATIONS = [
+    (C8, "almost", {0, 1, 2}, {4, 5, 6, 7}, {2}, {4}, {0}, {7},
+     "X1 and X2 must partition the node set"),
+    (C8, "almost", {0, 1, 2, 3}, {4, 5, 6, 7}, {3}, {4}, {0}, set(), "B2 is empty"),
+    (C8, "almost", {0, 1, 2, 3}, {4, 5, 6, 7}, {4}, {4}, {0}, {7},
+     "A1 is not contained in its side"),
+    (C8, "almost", {0, 1, 2, 3}, {4, 5, 6, 7}, {0, 3}, {4}, {0}, {7}, "A1 and B1 intersect"),
+    (C8, "almost", {0, 1, 2, 3}, {4, 5, 6, 7}, {3}, {4, 5}, {0}, {7},
+     "A1 is not complete to A2"),
+    (C8_CHORD, "almost", {0, 1, 2, 3}, {4, 5, 6, 7}, {3}, {4}, {0}, {7},
+     "crossing edge outside the two bundles"),
+    (C8, "almost", {0, 1}, {2, 3, 4, 5, 6, 7}, {1}, {2}, {0}, {7}, "|X_i| >= 3 fails"),
+    (P8, "full", {0, 1, 2, 3}, {4, 5, 6, 7}, {3}, {4}, {0}, {7},
+     "X1 has no path between its special sets"),
+    (C8, "full", {0, 1, 2, 3}, {4, 5, 6, 7}, {3}, {4}, {0}, {7},
+     "X1 is a chordless path with singleton special sets"),
+]
 
 
 class TestValidateSplit:
@@ -117,9 +141,7 @@ class TestValidateSplit:
         assert "chordless path" in rep.violation
 
     def test_undersized_side_rejected(self):
-        s = TwoJoinSplit(frozenset({0, 1}), frozenset({2, 3, 4, 5, 6, 7}),
-                         frozenset({0}), frozenset({7}),
-                         frozenset({1}), frozenset({2}))
+        s = split_of({0, 1}, {2, 3, 4, 5, 6, 7}, {0}, {7}, {1}, {2})
         rep = validate_split(C8, s, "almost")
         assert not rep.ok
 
@@ -128,15 +150,19 @@ class TestValidateSplit:
         assert validate_split(comp, split, "full").ok
 
     def test_report_names_first_violation(self):
-        s = TwoJoinSplit(frozenset({0, 1, 2, 3}), frozenset({4, 5, 6, 7}),
-                         frozenset(), frozenset({4}),
-                         frozenset({0}), frozenset({7}))
+        s = split_of({0, 1, 2, 3}, {4, 5, 6, 7}, set(), {4}, {0}, {7})
         rep = validate_split(C8, s, "almost")
         assert rep.violation == "A1 is empty"
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             validate_split(C8, C8_SPLIT, "strict")
+
+    @pytest.mark.parametrize("case", VIOLATIONS, ids=lambda case: case[-1])
+    def test_each_clause_names_its_violation(self, case):
+        g, mode, *node_sets, violation = case
+        rep = validate_split(g, split_of(*node_sets), mode)
+        assert not rep.ok and rep.violation == violation
 
 
 class TestIsConsistent:
@@ -153,9 +179,7 @@ class TestIsConsistent:
         g = Graph.from_edge_list(6, [(0, 1), (1, 2), (2, 0),
                                      (3, 4), (4, 5), (5, 3),
                                      (0, 3), (1, 4)])
-        s = TwoJoinSplit(frozenset({0, 1, 2}), frozenset({3, 4, 5}),
-                         frozenset({0}), frozenset({3}),
-                         frozenset({1}), frozenset({4}))
+        s = split_of({0, 1, 2}, {3, 4, 5}, {0}, {3}, {1}, {4})
         assert validate_split(g, s, "almost").ok
         ok, idx = is_consistent(g, s)
         assert not ok and idx == 2
@@ -166,9 +190,7 @@ class TestIsConsistent:
         assert ok, CONSISTENCY_CONDITIONS[idx - 1]
 
     def test_invalid_split_rejected(self):
-        s = TwoJoinSplit(frozenset({0}), frozenset({1, 2, 3, 4, 5, 6, 7}),
-                         frozenset({0}), frozenset({1}),
-                         frozenset({0}), frozenset({7}))
+        s = split_of({0}, {1, 2, 3, 4, 5, 6, 7}, {0}, {1}, {0}, {7})
         with pytest.raises(ValueError, match="almost"):
             is_consistent(C8, s)
 
@@ -184,8 +206,7 @@ class TestIsConsistent:
                 got = is_consistent(g, s)
                 assert got == reference_is_consistent(g, s), (g.edges(), s)
                 outcomes.add(got[1])
-                for x, a, b in ((s.X1, s.A1, s.B1), (s.X2, s.A2, s.B2)):
-                    side, am, bm = mask_of(x), mask_of(a), mask_of(b)
+                for side, am, bm in ((s.X1, s.A1, s.B1), (s.X2, s.A2, s.B2)):
                     for target, forbidden in ((bm, am), (am, bm)):
                         want = all(reaches_avoiding(g, side, v, target, forbidden)
                                    for v in bits(side))
@@ -336,7 +357,7 @@ class TestSizeLemma:
                 ok, _ = is_consistent(g, split)
                 if ok:
                     seen += 1
-                    assert len(split.X1) >= 4 and len(split.X2) >= 4
+                    assert split.X1.bit_count() >= 4 and split.X2.bit_count() >= 4
         assert seen > 0
 
 
@@ -374,16 +395,16 @@ class TestBlocks:
     def test_block_sizes(self):
         comp, split = composed_long_pyramids()
         (b1, m1), (b2, m2) = blocks_of_2join(comp, split)
-        assert b1.n == len(split.X1) + 3
-        assert b2.n == len(split.X2) + 3
+        assert b1.n == split.X1.bit_count() + 3
+        assert b2.n == split.X2.bit_count() + 3
 
     def test_marker_structure(self):
         comp, split = composed_long_pyramids()
         (b1, m1), _ = blocks_of_2join(comp, split)
         a, c, b = last_three(b1)
         assert b1.degree(c) == 2 and not b1.has_edge(a, b)
-        assert {m1[v] for v in bits(b1.adj_mask(a)) if v != c} == split.A1
-        assert {m1[v] for v in bits(b1.adj_mask(b)) if v != c} == split.B1
+        assert mask_of(m1[v] for v in bits(b1.adj_mask(a)) if v != c) == split.A1
+        assert mask_of(m1[v] for v in bits(b1.adj_mask(b)) if v != c) == split.B1
         assert m1[a] is None and m1[c] is None and m1[b] is None
         for new_id, old in enumerate(m1[:-3]):
             assert old is not None

@@ -18,7 +18,7 @@ from truemper.gen import random_tf_chordless
 from truemper.graph import (Graph, biconnected_blocks, bits, cliques,
                             is_triangle_free, mask_of, walk)
 from truemper.oracle import _MIN_NODES, ConfigWitness
-from truemper.twojoin import TwoJoinSplit, _split_of_masks, validate_split
+from truemper.twojoin import TwoJoinSplit, validate_split
 
 PAIRS = {n: list(combinations(range(n), 2)) for n in range(0, 13)}
 
@@ -416,7 +416,7 @@ def reference_closure(g: Graph, a1: int, a2: int, b1: int, b2: int,
     x2 = g.full_mask() & ~x1
     if x1.bit_count() < 3 or x2.bit_count() < 3:
         return None, x1
-    split = _split_of_masks(x1, x2, a1s, adj[a1] & x2, b1s, adj[b1] & x2)
+    split = TwoJoinSplit(x1, x2, a1s, adj[a1] & x2, b1s, adj[b1] & x2)
     return (split if validate_split(g, split, mode="full") else None), x1
 
 
