@@ -22,7 +22,7 @@ from typing import Optional
 from .graph import (Graph, biconnected_blocks, bits, find_claw, find_diamond,
                     graph_json, induced_subgraph, is_clique_graph,
                     is_clique_mask, is_connected, is_hole_graph,
-                    is_triangle_free, hole_order, mask_of, walk)
+                    hole_order, mask_of, walk)
 from .oracle import ConfigWitness, is_pyramid
 
 Edge = tuple[int, int]
@@ -168,19 +168,27 @@ def is_chordless_graph(r: Graph) -> bool:
     return True
 
 
+def _tf_root(g: Graph) -> Optional[tuple[Graph, list[Edge]]]:
+    """A triangle-free root of g and its map g-node -> root edge, or None
+    if g has a claw or a diamond.
+
+    The line graphs of triangle-free graphs are exactly the claw-free,
+    diamond-free graphs.  On such a g the Krausz cliques are the maximal
+    cliques and each edge lies in exactly one, so every triangle of g
+    lies in one clique.  A root triangle would need three cliques that
+    pairwise meet, in three nodes of g that are pairwise adjacent, a
+    triangle of g spread over three cliques: so the root has none.
+    """
+    if find_claw(g) is not None or find_diamond(g) is not None:
+        return None
+    return _root_with_edge_map(g, _krausz_partition(g))
+
+
 def is_lg_tf_chordless(g: Graph) -> Optional[Graph]:
     """Root certificate iff g is the line graph of a triangle-free
     chordless graph."""
-    # line graphs of triangle-free graphs are exactly the (claw, diamond)-
-    # free line graphs, so an induced claw or diamond settles it early
-    if find_claw(g) is not None or find_diamond(g) is not None:
-        return None
-    root = _root_with_edge_map(g, _krausz_partition(g))[0]
-    if not is_triangle_free(root):
-        return None
-    if not is_chordless_graph(root):
-        return None
-    return root
+    tf = _tf_root(g)
+    return tf[0] if tf is not None and is_chordless_graph(tf[0]) else None
 
 
 # -- safe trees and pyramid-basic graphs -------------------------------------
@@ -331,37 +339,22 @@ def _pyramid_basic_via(g: Graph, x: int, y: int) -> Optional[LabeledSafeTree]:
     h, h_map = induced_subgraph(g, rest)
     if not is_connected(h):
         return None
-    # the line graph of a tree is claw-free and diamond-free, and every
-    # such graph has a Krausz partition
-    if find_claw(h) is not None or find_diamond(h) is not None:
+    # the line graph of a tree is claw-free and diamond-free
+    tf = _tf_root(h)
+    if tf is None or not is_tree_graph(tf[0]):
         return None
-    root, edge_of = _root_with_edge_map(h, _krausz_partition(h))
-    if not is_tree_graph(root):
-        return None
-    pend = set(pendant_edges(root))
-    if len(pend) < 2:
-        return None
-    pos = {old: i for i, old in enumerate(h_map)}
-    x_nodes = {pos[v] for v in bits(g.adj_mask(x)) if v != y}
-    y_nodes = {pos[v] for v in bits(g.adj_mask(y)) if v != x}
-    if x_nodes & y_nodes:
-        return None
+    root, edge_of = tf
+    # is_safe_tree checks that exactly the pendant edges are labeled and
+    # that siblings differ
+    nx, ny = g.adj_mask(x), g.adj_mask(y)
     labels: dict[Edge, str] = {}
-    for hv in range(h.n):
-        e = edge_of[hv]
-        if hv in x_nodes:
-            lab = "x"
-        elif hv in y_nodes:
-            lab = "y"
-        else:
-            if e in pend:
-                return None  # unlabeled pendant edge
-            continue
-        if e not in pend:
-            return None  # special node attached to a non-pendant edge
-        labels[e] = lab
-    if set(labels) != pend:
-        return None
+    for hv, v in enumerate(h_map):
+        if nx >> v & 1:
+            if ny >> v & 1:
+                return None
+            labels[edge_of[hv]] = "x"
+        elif ny >> v & 1:
+            labels[edge_of[hv]] = "y"
     if not is_safe_tree(root, labels):
         return None
     return LabeledSafeTree(root, labels)

@@ -7,7 +7,7 @@ output, and 3 means an internal error (the traceback goes to stderr).
 Every file-writing command emits a run manifest next to its outputs;
 replaying a generate manifest reproduces the files byte for byte.  The
 environment variable TRUEMPER_ORACLE_CAP overrides the default oracle
-cap of 14, and --cap overrides both.
+cap, oracle.DEFAULT_CAP, and --cap overrides both.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ GENERATE_KINDS = ("only-prism", "only-pyramid") + tuple(f"planted:{k}" for k in 
 
 
 def _oracle_cap(flag: Optional[str]) -> int:
-    """--cap if given, else TRUEMPER_ORACLE_CAP, else the default 14."""
+    """--cap if given, else TRUEMPER_ORACLE_CAP, else oracle.DEFAULT_CAP."""
     raw, name = flag, "--cap"
     if raw is None:
         raw, name = os.environ.get("TRUEMPER_ORACLE_CAP"), "TRUEMPER_ORACLE_CAP"
@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--json", help="write the recognition report here")
     p_rec.add_argument("--witness", action="store_true",
                        help="extract an oracle witness on rejection (within cap)")
-    p_rec.add_argument("--cap", help="oracle node cap (default 14)")
+    p_rec.add_argument("--cap", help=f"oracle node cap (default {DEFAULT_CAP})")
     p_rec.add_argument("--format", choices=("edgelist", "graph6"),
                        default="edgelist")
     p_rec.set_defaults(func=cmd_recognize)
@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_or.add_argument("input")
     p_or.add_argument("--kinds", help="comma-separated subset of "
                                       f"{','.join(KINDS)} (default all)")
-    p_or.add_argument("--cap", help="oracle node cap (default 14)")
+    p_or.add_argument("--cap", help=f"oracle node cap (default {DEFAULT_CAP})")
     p_or.add_argument("--json", help="write witnesses as JSON here")
     p_or.add_argument("--format", choices=("edgelist", "graph6"),
                       default="edgelist")

@@ -18,8 +18,7 @@ from typing import Callable, Optional, Sequence
 
 from .basic import (LabeledSafeTree, build_pyramid_basic, is_chordless_graph,
                     is_safe_tree, line_graph, pendant_edges, pendant_siblings)
-from .graph import (Graph, bits, cliques, graph_from_json, graph_json,
-                    is_triangle_free, mask_of)
+from .graph import Graph, bits, cliques, graph_from_json, graph_json, mask_of
 from .oracle import KINDS
 from .twojoin import (check_marker_precondition, compose_2join_with_split,
                       is_consistent, validate_split)
@@ -52,8 +51,8 @@ def random_tf_chordless(seed: int, n: int) -> Graph:
     """A random triangle-free chordless graph on n nodes.
 
     Grows a random tree, then keeps only those extra edges that preserve
-    both properties (checked outright, so the certificate is the pair of
-    predicates themselves).
+    both properties: an edge whose ends have no common neighbour closes
+    no triangle, and chordlessness is checked outright.
     """
     if n < 1:
         raise ValueError("need at least one node")
@@ -70,10 +69,13 @@ def _random_tf_chordless(rng: random.Random, n: int) -> Graph:
             break
         u = rng.randrange(n)
         v = rng.randrange(n)
-        if u == v or g.has_edge(u, v):
+        if u == v or g.has_edge(u, v) or g.adj_mask(u) & g.adj_mask(v):
             continue
-        cand = Graph.from_edge_list(n, g.edges() + [(u, v) if u < v else (v, u)])
-        if is_triangle_free(cand) and is_chordless_graph(cand):
+        rows = list(g._adj)
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+        cand = Graph.derived(n, rows)
+        if is_chordless_graph(cand):
             g = cand
             extra_budget -= 1
     return g

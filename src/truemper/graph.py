@@ -380,27 +380,29 @@ def path_order(g: Graph, part: int) -> Optional[list[int]]:
     return order
 
 
-def _hole(g: Graph) -> Optional[list[int]]:
-    """Cyclic node order of g from node 0 toward its lower neighbor if g
-    is a hole, else None."""
-    row = g._adj[0] if g.n >= 4 else 0
+def _hole(g: Graph, part: int) -> Optional[list[int]]:
+    """Cyclic node order of the hole that mask part induces, from its
+    lowest node toward that node's lower neighbor, or None if part does
+    not induce a chordless cycle of length >= 4."""
+    v0 = (part & -part).bit_length() - 1
+    row = g._adj[v0] & part if part.bit_count() >= 4 else 0
     if not row:
         return None
-    order = walk(g, g.full_mask(), 0, (row & -row).bit_length() - 1, 1)
-    if order is None or len(order) != g.n + 1:
+    order = walk(g, part, v0, (row & -row).bit_length() - 1, 1 << v0)
+    if order is None or len(order) != part.bit_count() + 1:
         return None
     return order[:-1]
 
 
 def is_hole_graph(g: Graph) -> bool:
     """True iff g itself is a chordless cycle of length >= 4."""
-    return _hole(g) is not None
+    return _hole(g, g.full_mask()) is not None
 
 
 def hole_order(g: Graph) -> list[int]:
     """Cyclic node order of a hole graph, starting at node 0 and going
     on to its lower neighbor."""
-    order = _hole(g)
+    order = _hole(g, g.full_mask())
     if order is None:
         raise ValueError("not a hole graph")
     return order

@@ -11,8 +11,8 @@ Thetas, pyramids and prisms are the three-path configurations: two ends,
 each a node or a triangle, joined by three chordless paths.  One reader,
 _three_path_mask, serves all three: the degree-3 nodes are the ends,
 three walks from the near end must stop in the far end and cover the
-rest, and the shape of the ends names the kind.  The wheel has its own
-check.
+rest, and the shape of the ends names the kind.  The wheel check reads
+its rim with graph's hole reader.
 
 Definitions used throughout:
 
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .graph import Graph, _bits, bits, mask_of, reach, walk
+from .graph import Graph, _bits, _hole, bits, mask_of, reach, walk
 
 KINDS = ("theta", "wheel", "prism", "pyramid")
 
@@ -66,22 +66,6 @@ class ConfigWitness:
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "nodes": sorted(self.nodes), "structure": self.structure}
-
-
-# -- mask-level helpers ------------------------------------------------------
-
-def _degree3(g: Graph, sub: int) -> Optional[int]:
-    """The nodes of degree 3 in G[sub] as a mask, or None if some node of
-    sub has a degree other than 2 or 3 there."""
-    adj = g._adj
-    deg3 = 0
-    for v in bits(sub):
-        d = (adj[v] & sub).bit_count()
-        if d == 3:
-            deg3 |= 1 << v
-        elif d != 2:
-            return None
-    return deg3
 
 
 # -- whole-graph structural checks (mask core) -------------------------------
@@ -141,30 +125,25 @@ def _three_path_mask(g: Graph, sub: int, deg3: int) -> Optional[ConfigWitness]:
 
 
 def _wheel_mask(g: Graph, sub: int) -> Optional[ConfigWitness]:
+    """The wheel sub induces, by its first center whose removal leaves a hole."""
     adj = g._adj
-    if sub.bit_count() < _MIN_NODES["wheel"]:
-        return None
     for c in bits(sub):
         if (adj[c] & sub).bit_count() < 3:
             continue
-        rim = sub & ~(1 << c)  # at least 4 nodes, as sub has 5
-        start = rim & -rim
-        v0 = start.bit_length() - 1
-        row = adj[v0] & rim
-        if not row:
-            continue
-        order = walk(g, rim, v0, (row & -row).bit_length() - 1, start)
-        if order is None or len(order) != rim.bit_count() + 1:
-            continue
-        return ConfigWitness("wheel", frozenset(bits(sub)),
-                             {"rim": order[:-1], "center": c})
+        rim = _hole(g, sub & ~(1 << c))
+        if rim is not None:
+            return ConfigWitness("wheel", frozenset(bits(sub)),
+                                 {"rim": rim, "center": c})
     return None
 
 
 def _three_path(g: Graph, kind: str) -> Optional[ConfigWitness]:
-    sub = g.full_mask()
-    deg3 = _degree3(g, sub)
-    w = None if deg3 is None else _three_path_mask(g, sub, deg3)
+    # on the whole graph the degrees are the row popcounts
+    adj = g._adj
+    if any(not 2 <= row.bit_count() <= 3 for row in adj):
+        return None
+    deg3 = mask_of(v for v in range(g.n) if adj[v].bit_count() == 3)
+    w = _three_path_mask(g, g.full_mask(), deg3)
     return w if w is not None and w.kind == kind else None
 
 

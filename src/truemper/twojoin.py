@@ -19,6 +19,7 @@ marker path as an explicit triple of node ids.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterator, Optional
 
 from .decomp import INTERNAL, DecompNode, DecompTree, StepResult, decompose
@@ -200,7 +201,7 @@ def find_2join(g: Graph) -> Optional[TwoJoinSplit]:
     stops there: forcing is monotone and idempotent for fixed pins, so
     that retry's fixpoint contains the dead node's and ends the same
     way.  Every fixpoint that could validate is still tried, in the same
-    order.  Memory is O(m) words plus one bit per seed.  The first
+    order.  Memory is O(m) words plus one byte per seed.  The first
     fixpoint that validate_split accepts, with A1 = N(a2) & X1,
     B1 = N(b2) & X1, A2 = N(a1) - X1 and B2 = N(b1) - X1, is returned,
     so every answer is checked and the result is deterministic.
@@ -269,28 +270,25 @@ def _fixpoints(g: Graph) -> Iterator[tuple[int, int, int, int, int]]:
     has stalled.
 
     Only a seed with at least four nodes outside its fixpoint is
-    retried, one bit per seed in a single int: with three or fewer (the
+    retried, one flag byte per seed: with three or fewer (the
     pins and at most one node) every retry either contradicts or leaves
     X2 = {a2, b2}, which find_2join skips.  Within one seed's retries an
     extra node c whose retry contradicts or leaves X2 = {a2, b2} joins
     the dead mask, which starts as N(a2) & N(b2); a later retry that
     forces a dead node stops at once (see _closure for why that loses
-    nothing).  Memory is O(m) words plus one bit per seed.
+    nothing).  Memory is O(m) words plus one byte per seed.
     """
     adj = g._adj
     full = g.full_mask()
     start = (0, -1, 0, -1, 0)  # empty X1: the intersections are all ones
-    retry = 0
-    for i, (a1, a2, b1, b2) in enumerate(_seeds(g)):
+    retry = bytearray()
+    for a1, a2, b1, b2 in _seeds(g):
         state = _closure(adj, adj[a2], adj[b2], adj[a2] & adj[b2], start,
                          (1 << a1) | (1 << b1))
+        retry.append(state is not None and (full & ~state[0]).bit_count() >= 4)
         if state is not None:
-            if (full & ~state[0]).bit_count() >= 4:
-                retry |= 1 << i
             yield a1, a2, b1, b2, state[0]
-    for i, (a1, a2, b1, b2) in enumerate(_seeds(g)):
-        if not retry >> i & 1:
-            continue
+    for a1, a2, b1, b2 in compress(_seeds(g), retry):
         na2, nb2 = adj[a2], adj[b2]
         dead = na2 & nb2
         state = _closure(adj, na2, nb2, dead, start, (1 << a1) | (1 << b1))

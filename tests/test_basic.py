@@ -4,7 +4,8 @@ from itertools import combinations
 import pytest
 
 from truemper.basic import (LabeledSafeTree, _krausz_partition,
-                            _root_with_edge_map, build_pyramid_basic,
+                            _pyramid_basic_via, _root_with_edge_map,
+                            build_pyramid_basic,
                             classify_basic, is_chordless_graph,
                             is_lg_tf_chordless, is_pyramid_basic,
                             is_safe_tree, line_graph, pendant_siblings,
@@ -378,6 +379,29 @@ class TestIsPyramidBasic:
                 continue
             built += 1
             assert contains_config(g, ("theta", "wheel", "prism")) is None
+
+
+class TestPyramidBasicNearMisses:
+    # the H-tree graph has line-graph nodes 0..8 (the tree's edges in lex
+    # order), x = 9 and y = 10; each case breaks one label rule.  The
+    # first two also give a node next to x or y degree 3, which the
+    # degree filter refuses before any label is read
+    H_GRAPH = build_pyramid_basic(LabeledSafeTree(H_TREE, H_LABELS))
+
+    def test_the_unbroken_graph_is_read_on_xy(self):
+        cert = _pyramid_basic_via(self.H_GRAPH, 9, 10)
+        assert cert is not None
+        assert is_isomorphic(build_pyramid_basic(cert), self.H_GRAPH)
+
+    @pytest.mark.parametrize("add, drop", [
+        ([(5, 10)], []),  # node 5, edge 2-3, adjacent to both x and y
+        ([(0, 9)], []),   # x attached to the non-pendant edge 0-1
+        ([], [(7, 9)]),   # the pendant edge 6-7 left unlabeled
+    ])
+    def test_one_broken_label_rule_refuses(self, add, drop):
+        edges = [e for e in self.H_GRAPH.edges() if e not in drop] + add
+        g = Graph.from_edge_list(self.H_GRAPH.n, edges)
+        assert _pyramid_basic_via(g, 9, 10) is None
 
 
 class TestClassifyBasic:

@@ -4,17 +4,18 @@ from itertools import combinations, permutations
 
 import pytest
 
-from truemper.graph import (EdgeListParseError, Graph, biconnected_blocks,
+from truemper.graph import (EdgeListParseError, Graph, _hole, biconnected_blocks,
                             bits, cliques, components, components_masks,
                             find_claw, find_diamond, format_edge_list,
                             from_graph6, graph_from_json, graph_json,
                             hole_order, induced_subgraph, is_clique_graph,
                             is_chordless_path_sequence, is_connected,
-                            is_hole_graph, is_triangle_free, parse_edge_list,
-                            path_order, walk)
+                            is_hole_graph, is_triangle_free, mask_of,
+                            parse_edge_list, path_order, walk)
 
-from util import (all_graphs, assert_revalidates, gnp_graphs, is_isomorphic,
-                  random_graph, reference_find_claw, reference_find_diamond,
+from util import (PAIRS, all_graphs, assert_revalidates, gnp_graphs,
+                  graph_from_bits, is_isomorphic, random_graph,
+                  reference_find_claw, reference_find_diamond,
                   tf_chordless_line_graphs)
 
 C5 = Graph.from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
@@ -299,6 +300,23 @@ class TestWalks:
                               if is_chordless_path_sequence(g, p)]
                     assert path_order(g, part) == (min(orders) if orders else None)
                 assert path_order(g, 0) is None
+
+    def test_hole_of_a_mask_is_the_hole_order_of_its_induced_subgraph(self):
+        # every graph with n <= 6 and every node mask; the answer depends
+        # only on the edges inside the mask, so each one is computed once
+        for n in range(7):
+            inside = [mask_of(k for k, (u, v) in enumerate(PAIRS[n])
+                              if part >> u & part >> v & 1) for part in range(1 << n)]
+            want = {}
+            for code in range(1 << len(PAIRS[n])):
+                g = graph_from_bits(n, code)
+                for part in range(1 << n):
+                    key = (part, code & inside[part])
+                    if key not in want:
+                        sub, origin = induced_subgraph(g, bits(part))
+                        want[key] = ([origin[v] for v in hole_order(sub)]
+                                     if is_hole_graph(sub) else None)
+                    assert _hole(g, part) == want[key], (g.edges(), bits(part))
 
     def test_hole_order_starts_at_zero_toward_its_lower_neighbor(self):
         c6 = Graph.from_edge_list(6, [(0, 4), (4, 2), (2, 5), (5, 1), (1, 3), (3, 0)])
