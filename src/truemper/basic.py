@@ -349,9 +349,8 @@ def _pyramid_basic_via(g: Graph, x: int, y: int) -> Optional[LabeledSafeTree]:
     nx, ny = g.adj_mask(x), g.adj_mask(y)
     labels: dict[Edge, str] = {}
     for hv, v in enumerate(h_map):
+        # none is next to both x and y: the filter leaves it isolated in h
         if nx >> v & 1:
-            if ny >> v & 1:
-                return None
             labels[edge_of[hv]] = "x"
         elif ny >> v & 1:
             labels[edge_of[hv]] = "y"

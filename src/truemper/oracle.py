@@ -14,6 +14,18 @@ three walks from the near end must stop in the far end and cover the
 rest, and the shape of the ends names the kind.  The wheel check reads
 its rim with graph's hole reader.
 
+The sweep visits node subsets by size, then lexicographically, and the
+first witness of a kind is the first subset in that order that induces
+one.  Each size is one depth-first walk that extends a prefix by
+ascending nodes, so it keeps that order while it skips every prefix
+with no live extension.  Induced degrees only grow as a prefix grows,
+every configuration has minimum degree 2, and only a wheel's centre
+exceeds degree 3.  So a prefix dies once it holds two nodes of degree
+>= 4 (one, when no wheel is still wanted), or a node that cannot reach
+degree 2 from the nodes above its last one.  A full subset goes to the
+wheel check only if its count of degree-3 nodes fits a wheel: 4 when no
+node exceeds degree 3, else the degree of that centre.
+
 Definitions used throughout:
 
 * theta: two non-adjacent nodes a, b joined by three internally disjoint
@@ -31,7 +43,6 @@ Definitions used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional, Sequence
 
 from .graph import Graph, _bits, _hole, bits, mask_of, reach, walk
@@ -184,8 +195,11 @@ def contains_config(g: Graph, kinds: Sequence[str] = KINDS,
 
     Enumerates node subsets by size then lexicographically and runs the
     structural checks on each induced subgraph, so the answer is sound
-    and complete for graphs within the cap.  Raises OracleScaleError
-    above the cap rather than ever returning a wrong answer.
+    and complete for graphs within the cap.  The enumeration skips only
+    subsets whose induced degrees rule out every kind still wanted (see
+    the module docstring), so the first witness is the same as without
+    the pruning.  Raises OracleScaleError above the cap rather than ever
+    returning a wrong answer.
     """
     wanted = _validate_kinds(kinds)
     if g.n > cap:
@@ -225,39 +239,69 @@ _KIND_BY_DEGREE3 = {2: "theta", 4: "pyramid", 6: "prism"}
 
 
 def _scan(g: Graph, wanted: tuple[str, ...], first_only: bool) -> dict:
-    adj = g._adj
+    n, adj = g.n, g._adj
     found: dict[str, Optional[ConfigWitness]] = {k: None for k in wanted}
-    remaining = set(wanted)
-    nodes = list(range(g.n))
-    for size in range(min(_MIN_NODES[k] for k in wanted), g.n + 1):
-        for combo in combinations(nodes, size):
-            sub = mask_of(combo)
-            # every kind has minimum degree 2 inside the subgraph, and
-            # only a wheel's center may exceed degree 3
-            deg3 = high = 0  # high: the count of nodes of degree >= 4
-            for v in combo:
-                d = (adj[v] & sub).bit_count()
-                if d <= 1:
-                    break
-                if d == 3:
-                    deg3 |= 1 << v
-                elif d > 3:
-                    high += 1
-            else:
-                # a pyramid with a path of length 1 is also a wheel, and
-                # no other two kinds share a subset: read the wheel first
-                hits = []
-                if "wheel" in remaining and high <= 1:
-                    hits.append(_wheel_mask(g, sub))
-                if not high and _KIND_BY_DEGREE3.get(deg3.bit_count()) in remaining:
-                    hits.append(_three_path_mask(g, sub, deg3))
-                for w in hits:
-                    if w is not None and w.kind in remaining:
-                        found[w.kind] = w
-                        remaining.discard(w.kind)
-                        if first_only or not remaining:
-                            return found
+    # has1[v], has2[v]: the nodes with at least one, two neighbours in v..n-1
+    has1, has2 = [0] * (n + 1), [0] * (n + 1)
+    for v in range(n - 1, -1, -1):
+        has2[v] = has2[v + 1] | has1[v + 1] & adj[v]
+        has1[v] = has1[v + 1] | adj[v]
+    sweep = (g, adj, has1, has2, found, set(wanted), first_only)
+    for size in range(min(_MIN_NODES[k] for k in wanted), n + 1):
+        if _grow(sweep, 0, 0, 0, 0, 0, size):
+            break
     return found
+
+
+def _grow(sweep: tuple, sub: int, b0: int, b1: int, big: int, start: int,
+          left: int) -> bool:
+    """Extend sub by `left` more nodes from start on, in ascending order,
+    and read each full subset; True once the sweep is over.
+
+    sub's induced degrees come bit-sliced: b0 and b1 hold bits 0 and 1 of
+    each count, and big marks counts of 4 or more.
+    """
+    g, adj, has1, has2, found, remaining, first_only = sweep
+    for v in range(start, len(adj) - left + 1):
+        new = adj[v] & sub
+        d = new.bit_count()
+        carry = b0 & new
+        c0 = b0 ^ new | (d & 1) << v
+        c1 = b1 ^ carry | (d >> 1 & 1) << v
+        cbig = big | b1 & carry | (d > 3) << v
+        # degrees only grow, and only a wheel's centre exceeds 3
+        if cbig & (cbig - 1) or cbig and "wheel" not in remaining:
+            continue
+        s = sub | 1 << v
+        zero = s & ~(c0 | c1 | cbig)
+        one = c0 & ~c1 & ~cbig
+        if left > 1:
+            # every node still needs degree 2 from the nodes above v
+            if not (zero & ~has2[v + 1] or one & ~has1[v + 1]) \
+                    and _grow(sweep, s, c0, c1, cbig, v + 1, left - 1):
+                return True
+            continue
+        if zero | one:
+            continue
+        deg3 = c0 & c1 & ~cbig
+        k = deg3.bit_count()
+        # a pyramid with a path of length 1 is also a wheel, and no other
+        # two kinds share a subset: read the wheel first.  A wheel's
+        # degree-3 nodes are its centre's rim neighbours and, for a centre
+        # of degree 3, the centre.
+        hits = []
+        if "wheel" in remaining and k == (
+                (adj[cbig.bit_length() - 1] & s).bit_count() if cbig else 4):
+            hits.append(_wheel_mask(g, s))
+        if not cbig and _KIND_BY_DEGREE3.get(k) in remaining:
+            hits.append(_three_path_mask(g, s, deg3))
+        for w in hits:
+            if w is not None:
+                found[w.kind] = w
+                remaining.discard(w.kind)
+                if first_only or not remaining:
+                    return True
+    return False
 
 
 # -- star cutsets ------------------------------------------------------------

@@ -11,8 +11,8 @@ from truemper.gen import make_pyramid
 
 from util import (all_graphs, config_templates, random_graph,
                   reference_degree3, reference_prism_mask,
-                  reference_pyramid_mask, reference_theta_mask,
-                  template_contains)
+                  reference_pyramid_mask, reference_scan,
+                  reference_theta_mask, template_contains)
 
 K23 = Graph.from_edge_list(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
 PRISM6 = Graph.from_edge_list(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5),
@@ -255,6 +255,86 @@ class TestAgainstTemplateOracle:
             g = random_graph(rng, rng.randint(6, 8), density)
             got = {k: w is not None for k, w in scan_configs(g).items()}
             assert got == template_contains(g, KINDS), g.edges()
+
+
+# every non-empty set of kinds, in KINDS order
+KIND_SETS = [tuple(k for i, k in enumerate(KINDS) if m >> i & 1) for m in range(1, 16)]
+
+
+def as_json(found):
+    return {k: None if w is None else w.to_json() for k, w in found.items()}
+
+
+class TestPrunedSweep:
+    # the pruned DFS must visit the subsets that matter in the same
+    # (size, lexicographic) order as the combinations sweep it replaced
+
+    def assert_matches_reference(self, g, kind_sets):
+        for kinds in kind_sets:
+            assert as_json(scan_configs(g, kinds)) == \
+                as_json(reference_scan(g, kinds, first_only=False)), (g.edges(), kinds)
+            # the first-only sweep stops at its first witness
+            first = [w.to_json() for w in reference_scan(g, kinds, first_only=True).values()
+                     if w is not None]
+            got = contains_config(g, kinds)
+            assert ([] if got is None else [got.to_json()]) == first, (g.edges(), kinds)
+
+    def test_every_graph_up_to_six_nodes(self):
+        for n in range(1, 7):
+            for g in all_graphs(n):
+                self.assert_matches_reference(g, KIND_SETS if n <= 5 else [KINDS])
+        for i, g in enumerate(all_graphs(6)):
+            # every 7th graph, so that each set of kinds meets a spread of graphs
+            if i % 7 == 0:
+                self.assert_matches_reference(g, [KIND_SETS[i // 7 % 15]])
+
+    @pytest.mark.parametrize("p", [0.15, 0.35, 0.5, 0.65, 0.8])
+    def test_random_graphs_up_to_the_cap(self, p):
+        rng = random.Random(f"pruned:{p}")
+        for n in range(7, 15):
+            for _ in range(4):
+                self.assert_matches_reference(random_graph(rng, n, p),
+                                              [KINDS] + rng.sample(KIND_SETS, 2))
+
+    def test_short_pyramid_reads_as_a_wheel_first(self):
+        # four degree-3 nodes and none above: the wheel filter must let
+        # the (1,2,2)-pyramid through to the wheel reader
+        g = make_pyramid((1, 2, 2))
+        assert contains_config(g, ("wheel", "pyramid")).kind == "wheel"
+        found = scan_configs(g, ("wheel", "pyramid"))
+        assert found["wheel"].nodes == found["pyramid"].nodes == frozenset(range(6))
+
+    @pytest.mark.parametrize("k, spokes", [(4, (0, 1, 2, 3)), (6, (0, 1, 2, 4)),
+                                           (5, (0, 1, 2, 3, 4))])
+    def test_wheel_with_a_centre_above_degree_three(self, k, spokes):
+        # one node of degree >= 4 is allowed, and the wheel then has as
+        # many degree-3 nodes as its centre k has spokes on the rim C_k
+        rim = [(i, (i + 1) % k) for i in range(k)]
+        g = Graph.from_edge_list(k + 1, rim + [(v, k) for v in spokes])
+        w = contains_config(g, "wheel")
+        assert w is not None and w.structure["center"] == k
+        assert w.nodes == frozenset(range(k + 1))
+
+    def test_low_degree_node_waits_for_the_last_node(self):
+        # K_{2,3} with ends 3, 4: after {0, 1, 2} every node has degree 0
+        # and needs both later nodes; after {0, 1, 2, 3} degree 1, and
+        # needs the last node
+        g = Graph.from_edge_list(5, [(u, v) for u in (0, 1, 2) for v in (3, 4)])
+        w = contains_config(g, "theta")
+        assert w is not None and w.nodes == frozenset(range(5))
+
+    def test_three_path_kinds_found_after_the_wheel(self):
+        # once the wheel is found no node may exceed degree 3, but nodes of
+        # degree 3 still may: the 4-wheel on 0..4 comes first, then K_{2,3}
+        # on 5..9 and a prism on 10..15
+        edges = [(0, 1), (1, 2), (2, 3), (0, 3)] + [(v, 4) for v in range(4)]
+        edges += [(u, v) for u in (5, 6) for v in (7, 8, 9)]
+        edges += [(u + 10, v + 10) for u, v in PRISM6.edges()]
+        g = Graph.from_edge_list(16, edges)
+        found = scan_configs(g, ("theta", "wheel", "prism"), cap=16)
+        assert found["wheel"].nodes == frozenset(range(5))
+        assert found["theta"].nodes == frozenset(range(5, 10))
+        assert found["prism"].nodes == frozenset(range(10, 16))
 
 
 class TestHoleNeighborLemma:

@@ -2,9 +2,10 @@
 a small-n isomorphism check, an independent template-based oracle for
 the four configurations, and the plain versions of the claw and diamond
 finders, the chord test, the clique-enumerating root search, the
-per-node 2-join forcing closure and the per-kind theta, prism and
-pyramid checks that the library's bitset, bounded-candidate,
-mask-algebra and three-path versions must match exactly."""
+per-node 2-join forcing closure, the per-kind theta, prism and pyramid
+checks and the combinations sweep of the oracle that the library's
+bitset, bounded-candidate, mask-algebra, three-path and pruned-DFS
+versions must match exactly."""
 
 from __future__ import annotations
 
@@ -17,10 +18,11 @@ from truemper.basic import _root_with_edge_map, line_graph
 from truemper.gen import random_tf_chordless
 from truemper.graph import (Graph, biconnected_blocks, bits, cliques,
                             is_triangle_free, mask_of, walk)
-from truemper.oracle import _MIN_NODES, ConfigWitness
+from truemper.oracle import (_KIND_BY_DEGREE3, _MIN_NODES, ConfigWitness,
+                             _three_path_mask, _wheel_mask)
 from truemper.twojoin import TwoJoinSplit, validate_split
 
-PAIRS = {n: list(combinations(range(n), 2)) for n in range(0, 13)}
+PAIRS = {n: list(combinations(range(n), 2)) for n in range(0, 15)}
 
 
 def graph_from_bits(n: int, code: int) -> Graph:
@@ -574,3 +576,43 @@ def reference_pyramid_mask(g: Graph, sub: int) -> Optional[ConfigWitness]:
         return None
     return ConfigWitness("pyramid", frozenset(bits(sub)),
                          {"apex": apex, "triangle": list(tri), "paths": paths})
+
+
+# -- the oracle's subset sweep -------------------------------------------------
+# The oracle's sweep before the pruned DFS replaced it, kept as written;
+# scan_configs and contains_config must return the same witnesses.
+
+def reference_scan(g: Graph, wanted: tuple[str, ...], first_only: bool) -> dict:
+    adj = g._adj
+    found: dict[str, Optional[ConfigWitness]] = {k: None for k in wanted}
+    remaining = set(wanted)
+    nodes = list(range(g.n))
+    for size in range(min(_MIN_NODES[k] for k in wanted), g.n + 1):
+        for combo in combinations(nodes, size):
+            sub = mask_of(combo)
+            # every kind has minimum degree 2 inside the subgraph, and
+            # only a wheel's center may exceed degree 3
+            deg3 = high = 0  # high: the count of nodes of degree >= 4
+            for v in combo:
+                d = (adj[v] & sub).bit_count()
+                if d <= 1:
+                    break
+                if d == 3:
+                    deg3 |= 1 << v
+                elif d > 3:
+                    high += 1
+            else:
+                # a pyramid with a path of length 1 is also a wheel, and
+                # no other two kinds share a subset: read the wheel first
+                hits = []
+                if "wheel" in remaining and high <= 1:
+                    hits.append(_wheel_mask(g, sub))
+                if not high and _KIND_BY_DEGREE3.get(deg3.bit_count()) in remaining:
+                    hits.append(_three_path_mask(g, sub, deg3))
+                for w in hits:
+                    if w is not None and w.kind in remaining:
+                        found[w.kind] = w
+                        remaining.discard(w.kind)
+                        if first_only or not remaining:
+                            return found
+    return found

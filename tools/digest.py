@@ -32,6 +32,8 @@ Corpora (fixed seeds, so the same library gives the same lines):
           seed's retry with an extra node.
 * oracle: the small corpus followed by the gnp corpus (36868 graphs).
 * paths:  the small corpus again.
+* cap:    300 seeded G(n, p) with n = 13..14, the sizes up to the
+          oracle's default cap that the oracle corpus does not reach.
 
 For the first three corpora the hash covers, per graph, the three
 recognizers' ``to_json()`` at witness cap 14, the clique-cutset and
@@ -44,8 +46,8 @@ maps and their recomposition along the blocks' marker paths (the last
 three nodes of each).  For roots it covers ``root_graph``, the root edge
 map of the Krausz partition, ``is_lg_tf_chordless`` and
 ``classify_basic``.  For twojoin it covers ``find_2join``'s split JSON,
-or null.  For oracle it covers ``scan_configs`` at the default cap, so
-every first witness of every kind, not only the witnesses of
+or null.  For oracle and cap it covers ``scan_configs`` at the default
+cap, so every first witness of every kind, not only the witnesses of
 rejections.  For paths it covers ``path_order`` of every node mask and
 ``hole_order`` (or null when ``is_hole_graph`` is false).  Each line
 reads ``<corpus> <graphs> <sha256>``.
@@ -87,13 +89,21 @@ def small_graphs() -> Iterator[Graph]:
             yield Graph.from_edge_list(n, edges)
 
 
-def gnp_graphs() -> Iterator[Graph]:
-    rng = random.Random("digest:gnp")
-    for _ in range(3000):
-        n = rng.randint(7, 12)
+def _gnp(name: str, count: int, lo: int, hi: int) -> Iterator[Graph]:
+    rng = random.Random(f"digest:{name}")
+    for _ in range(count):
+        n = rng.randint(lo, hi)
         p = rng.choice((0.2, 0.35, 0.5, 0.65, 0.8))
         edges = [e for e in combinations(range(n), 2) if rng.random() < p]
         yield Graph.from_edge_list(n, edges)
+
+
+def gnp_graphs() -> Iterator[Graph]:
+    return _gnp("gnp", 3000, 7, 12)
+
+
+def cap_graphs() -> Iterator[Graph]:
+    return _gnp("cap", 300, 13, 14)
 
 
 def synth_graphs() -> Iterator[Graph]:
@@ -260,7 +270,8 @@ CORPORA = (("small", small_graphs, outputs), ("gnp", gnp_graphs, outputs),
            ("roots", root_cases, root_outputs),
            ("twojoin", twojoin_graphs, twojoin_outputs),
            ("oracle", oracle_graphs, oracle_outputs),
-           ("paths", small_graphs, path_outputs))
+           ("paths", small_graphs, path_outputs),
+           ("cap", cap_graphs, oracle_outputs))
 
 
 def main(argv: list[str]) -> int:
