@@ -13,9 +13,28 @@ returns a split (A, K, B) with no edge between A and B.
 * A connected graph splits on a nonempty clique cutset: A is a full
   component of the removal, K = N(A) is exactly A's neighborhood, and B
   is everything else.  Among all candidates the one with the smallest A
-  is chosen (ties broken by lexicographic node order), which guarantees
-  that the block G[A + K] has no clique cutset of its own, so the first
-  child of such a split is a leaf.
+  is chosen (ties broken by lexicographic node order).
+
+Two lemmas spare the search over every clique:
+
+* Pair lemma.  If a clique cutset K of a connected graph separates u
+  from v, then u and v are non-adjacent and every common neighbour of
+  theirs lies in K, so N(u) & N(v) is a clique.  Hence when no
+  non-adjacent pair u < v has a clique (the empty set included) as its
+  common neighbourhood, a connected graph has no clique cutset, and
+  _no_cutset_by_pairs proves it in O(n^2 * omega) mask operations,
+  omega the clique number: a common neighbourhood that is not a clique
+  shows a node missing one of the others within omega + 1 tests.
+* Leaf lemma.  The block G[A + K] of a split with nonempty K has no
+  clique cutset.  It is connected, since A is and every node of K has a
+  neighbour in A.  Were K' a clique cutset of it, the clique K - K'
+  would lie inside one component of G[A + K] - K', and some other
+  component C would lie inside A.  Then N(C) is inside K', so C is a
+  component of G - K' beside at least one more.  And C != A, since
+  each other component either lies inside A or holds a node of K - K',
+  whose neighbours in A are not in C.  So C is smaller than A, against
+  the choice of A; the first child of such a split is built as a leaf,
+  with no search.
 
 The tree has at most n leaves either way: an empty K splits the n nodes
 between the children, and a nonempty K makes a leaf beside a child on
@@ -29,7 +48,7 @@ from typing import Iterator, Optional
 
 from .decomp import INTERNAL, DecompNode, DecompTree, StepResult, decompose
 from .graph import (Graph, bits, cliques, components_masks, induced_subgraph,
-                    is_clique_graph)
+                    is_clique_mask)
 
 
 @dataclass(frozen=True)
@@ -78,6 +97,20 @@ def _component_candidates(g: Graph) -> Iterator[int]:
         yield from parts
 
 
+def _no_cutset_by_pairs(g: Graph) -> bool:
+    """True when no non-adjacent pair u < v has a clique as its common
+    neighbourhood, which proves that g has no clique cutset (the pair
+    lemma); False at the first pair that does, which proves nothing."""
+    adj = g._adj
+    full = g.full_mask()
+    for u in range(g.n):
+        row = adj[u]
+        for v in bits(full & ~row & -2 << u):  # non-neighbours above u
+            if is_clique_mask(g, row & adj[v]):
+                return False
+    return True
+
+
 def find_clique_cutset(g: Graph) -> Optional[CliqueSplit]:
     """A clique-cutset split of g, or None.
 
@@ -85,7 +118,9 @@ def find_clique_cutset(g: Graph) -> Optional[CliqueSplit]:
     the union of its first k // 2 components, ordered by lowest node.
     Otherwise A is the smallest component over all clique cutsets
     (lexicographically smallest on ties) and K is trimmed to N(A); the
-    minimal choice makes the block G[A + K] cutset-free.
+    minimal choice makes the block G[A + K] cutset-free.  A connected
+    graph that the pair lemma clears gets None with no clique
+    enumerated.
     """
     if g.n <= 1:
         return None
@@ -94,7 +129,7 @@ def find_clique_cutset(g: Graph) -> Optional[CliqueSplit]:
         a_mask = sum(comps[:len(comps) // 2])  # disjoint masks: sum = union
         b_mask = g.full_mask() & ~a_mask
         return CliqueSplit(a_mask, 0, b_mask)
-    if is_clique_graph(g):
+    if _no_cutset_by_pairs(g):  # complete graphs included: no pairs
         return None
     # the smallest A by size, then by sorted node list: of two node sets
     # of one size, the smaller list holds the lowest node of a ^ b
@@ -133,7 +168,10 @@ def _clique_step(graph: Graph) -> StepResult:
     split = find_clique_cutset(graph)
     if split is None:
         return DecompNode(graph, "leaf"), None
-    return DecompNode(graph, INTERNAL, split), blocks_of_clique_split(graph, split)
+    (block_a, map_a), block_b = blocks_of_clique_split(graph, split)
+    if split.K:  # the leaf lemma: G[A + K] has no clique cutset
+        block_a = DecompNode(block_a, "leaf")
+    return DecompNode(graph, INTERNAL, split), ((block_a, map_a), block_b)
 
 
 def clique_decomposition_tree(g: Graph) -> DecompTree:

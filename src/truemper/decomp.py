@@ -3,9 +3,11 @@ layers.
 
 decompose builds a tree from one step function per layer: a step
 decides whether a graph is a leaf or which split to take, and returns
-the node plus, for a split, its two blocks with their id maps.  Each
-layer hands its output conventions to DecompTree as data: the JSON keys
-written before the root, the DOT graph name and a node label function.
+the node plus, for a split, its two blocks with their id maps.  A block
+that the step has already proven to be a leaf comes as that leaf's node
+in place of its graph, and is not stepped again.  Each layer hands its
+output conventions to DecompTree as data: the JSON keys written before
+the root, the DOT graph name and a node label function.
 Node fields that a layer leaves unset (origin, failed_condition) are
 omitted from the JSON.
 
@@ -18,15 +20,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional, Union
 
 from .graph import Graph, graph_json
 
 INTERNAL = "internal"
 
-# One block of a split: the block graph and its map block id -> parent id
-# (a 2-join block's marker nodes map to None).
-Block = tuple[Graph, tuple[Optional[int], ...]]
+# One block of a split: the block graph, or its finished leaf node, and
+# its map block id -> parent id (a 2-join block's marker nodes map to None).
+Block = tuple[Union[Graph, "DecompNode"], tuple[Optional[int], ...]]
 
 
 @dataclass
@@ -102,17 +104,18 @@ def decompose(graph: Graph, step: Callable[[Graph], StepResult],
     """The tree that step grows from graph, and its leaves left to right.
 
     step(graph) returns a node without children, plus None for a leaf or
-    the two blocks of its split, which are decomposed in order.  With an
-    origin map (node id -> root id) every node gets one, composed
-    through the blocks' id maps; without one no node does.
+    the two blocks of its split, which are decomposed in order; a block
+    given as a leaf node is taken as it is.  With an origin map (node id
+    -> root id) every node gets one, composed through the blocks' id
+    maps; without one no node does.
     """
     leaves: list[DecompNode] = []
     return _grow(graph, step, origin, leaves), leaves
 
 
-def _grow(graph: Graph, step: Callable[[Graph], StepResult],
+def _grow(item: Union[Graph, DecompNode], step: Callable[[Graph], StepResult],
           origin: Optional[tuple[int, ...]], leaves: list[DecompNode]) -> DecompNode:
-    node, blocks = step(graph)
+    node, blocks = (item, None) if isinstance(item, DecompNode) else step(item)
     node.origin = origin
     if blocks is None:
         leaves.append(node)

@@ -3,7 +3,8 @@ from itertools import combinations
 
 import pytest
 
-from truemper.cutset import (CliqueSplit, blocks_of_clique_split,
+from truemper.cutset import (CliqueSplit, _no_cutset_by_pairs,
+                             blocks_of_clique_split,
                              clique_decomposition_tree, find_clique_cutset,
                              validate_clique_split)
 from truemper.graph import (Graph, bits, components_masks, induced_subgraph,
@@ -11,11 +12,20 @@ from truemper.graph import (Graph, bits, components_masks, induced_subgraph,
 from truemper.oracle import has_star_cutset, scan_configs
 
 from util import (all_graphs, assert_revalidates, gnp_graphs,
-                  perfect_elimination_chordal, random_graph)
+                  perfect_elimination_chordal, random_graph,
+                  reference_find_clique_cutset)
 
 DIAMOND = Graph.from_edge_list(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
 C5 = Graph.from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
 BOWTIE = Graph.from_edge_list(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+K33 = Graph.from_edge_list(6, [(u, v) for u in range(3) for v in range(3, 6)])
+OCTAHEDRON = Graph.from_edge_list(
+    6, [(u, v) for u, v in combinations(range(6), 2) if v != u + 3])
+PETERSEN = Graph.from_edge_list(
+    10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+W5 = Graph.from_edge_list(6, [(i, (i + 1) % 5) for i in range(5)]
+                          + [(i, 5) for i in range(5)])
 
 
 def brute_has_clique_cutset(g):
@@ -120,6 +130,62 @@ class TestFindCliqueCutset:
             assert find_clique_cutset(g) == find_clique_cutset(g)
 
 
+def dense_graphs():
+    """(p, graph) for seeded G(n, p), n = 7..14, p in {0.7, 0.8, 0.9, 0.95}."""
+    rng = random.Random(74)
+    for n in range(7, 15):
+        for p in (0.7, 0.8, 0.9, 0.95):
+            for _ in range(5):
+                yield p, random_graph(rng, n, p)
+
+
+def pair_lemma_corpus():
+    """Every graph with n <= 6, then the dense draws."""
+    for n in range(7):
+        yield from all_graphs(n)
+    for _, g in dense_graphs():
+        yield g
+
+
+class TestPairLemma:
+    def test_firing_means_no_clique_cutset(self):
+        fired = 0
+        for g in pair_lemma_corpus():
+            if _no_cutset_by_pairs(g):
+                fired += 1
+                assert not brute_has_clique_cutset(g), g.edges()
+        assert fired > 100
+
+    def test_search_matches_the_sweep_over_every_clique(self):
+        for g in pair_lemma_corpus():
+            assert find_clique_cutset(g) == reference_find_clique_cutset(g), g.edges()
+
+    @pytest.mark.parametrize("g", [K33, OCTAHEDRON], ids=["K33", "octahedron"])
+    def test_fires(self, g):
+        assert _no_cutset_by_pairs(g)
+        assert find_clique_cutset(g) is None
+
+    @pytest.mark.parametrize("g", [C5, PETERSEN, W5], ids=["C5", "Petersen", "W5"])
+    def test_does_not_fire_yet_no_cutset(self, g):
+        # each has a non-adjacent pair with a clique (C5, Petersen: one
+        # node; W5: an edge) as its common neighbourhood
+        assert not _no_cutset_by_pairs(g)
+        assert find_clique_cutset(g) is None
+
+    def test_fires_on_most_dense_draws(self):
+        draws = [g for p, g in dense_graphs() if p == 0.9]
+        assert sum(map(_no_cutset_by_pairs, draws)) > len(draws) // 2
+
+    def test_dense_45_node_graph_is_one_leaf(self):
+        # the sweep over every clique took over a minute here
+        rng = random.Random(1)
+        g = Graph.from_edge_list(
+            45, [e for e in combinations(range(45), 2) if rng.random() < 0.85])
+        assert _no_cutset_by_pairs(g)
+        tree = clique_decomposition_tree(g)
+        assert tree.root.is_leaf and tree.root.graph == g
+
+
 class TestBlocks:
     def test_diamond_blocks_are_triangles(self):
         s = find_clique_cutset(DIAMOND)
@@ -210,7 +276,8 @@ class TestDecompositionTree:
             assert sub == leaf.graph
 
     def test_nonempty_cutset_splits_off_a_leaf(self):
-        # minimal |A| makes G[A + K] cutset-free when K is nonempty
+        # minimal |A| makes G[A + K] cutset-free when K is nonempty (the
+        # leaf lemma), so the tree builds that child as a leaf unsearched
         rng = random.Random(14)
         splits = 0
         for _ in range(300):
@@ -221,7 +288,10 @@ class TestDecompositionTree:
                 stack.extend(node.children)
                 if node.children and node.split.K:
                     splits += 1
-                    assert node.children[0].is_leaf
+                    leaf = node.children[0]
+                    assert leaf.is_leaf
+                    assert reference_find_clique_cutset(leaf.graph) is None
+                    assert not brute_has_clique_cutset(leaf.graph)
         assert splits > 100
 
     def test_empty_cutset_child_may_split_again(self):

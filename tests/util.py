@@ -1,7 +1,8 @@
 """Shared helpers for the test suite: exhaustive small-graph enumeration,
 a small-n isomorphism check, an independent template-based oracle for
 the four configurations, and the plain versions of the claw and diamond
-finders, the chord test, the clique-enumerating root search, the
+finders, the clique-cutset search over every clique, the chord test,
+the clique-enumerating root search, the
 per-node 2-join forcing closure, the per-kind theta, prism and pyramid
 checks and the combinations sweep of the oracle that the library's
 bitset, bounded-candidate, mask-algebra, three-path and pruned-DFS
@@ -15,8 +16,10 @@ from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
 from truemper.basic import _root_with_edge_map, line_graph
+from truemper.cutset import CliqueSplit
 from truemper.gen import random_tf_chordless
 from truemper.graph import (Graph, biconnected_blocks, bits, cliques,
+                            components_masks, is_clique_graph,
                             is_triangle_free, mask_of, walk)
 from truemper.oracle import (_KIND_BY_DEGREE3, _MIN_NODES, ConfigWitness,
                              _three_path_mask, _wheel_mask)
@@ -278,6 +281,38 @@ def reference_find_claw(g: Graph) -> Optional[frozenset[int]]:
                     or g.has_edge(t[1], t[2])):
                 return frozenset((c,) + t)
     return None
+
+
+def reference_find_clique_cutset(g: Graph) -> Optional[CliqueSplit]:
+    """find_clique_cutset without the pair lemma: a connected graph has
+    every clique swept, and the smallest component of G - K over all of
+    them (then the smallest sorted node list) is A, with K = N(A)."""
+    if g.n <= 1:
+        return None
+    comps = components_masks(g)
+    if len(comps) >= 2:
+        a_mask = sum(comps[:len(comps) // 2])
+        return CliqueSplit(a_mask, 0, g.full_mask() & ~a_mask)
+    if is_clique_graph(g):
+        return None
+    best = None
+    for clique in cliques(g, g.full_mask()):
+        rest = g.full_mask() & ~clique
+        parts = components_masks(g, rest) if rest else []
+        if len(parts) < 2:
+            continue
+        for part in parts:
+            key = (part.bit_count(), bits(part))
+            if best is None or key < best[0]:
+                best = key, part
+    if best is None:
+        return None
+    a_mask = best[1]
+    nbhd = 0
+    for v in bits(a_mask):
+        nbhd |= g.adj_mask(v)
+    k_mask = nbhd & ~a_mask
+    return CliqueSplit(a_mask, k_mask, g.full_mask() & ~a_mask & ~k_mask)
 
 
 def reference_is_chordless_graph(r: Graph) -> bool:

@@ -34,6 +34,9 @@ Corpora (fixed seeds, so the same library gives the same lines):
 * paths:  the small corpus again.
 * cap:    300 seeded G(n, p) with n = 13..14, the sizes up to the
           oracle's default cap that the oracle corpus does not reach.
+* dense:  200 seeded G(n, p) with n = 13..20 and p in {0.7, 0.8, 0.9},
+          where most graphs without a clique cutset are proved so by
+          the pair lemma rather than by the sweep over every clique.
 
 For the first three corpora the hash covers, per graph, the three
 recognizers' ``to_json()`` at witness cap 14, the clique-cutset and
@@ -49,8 +52,9 @@ map of the Krausz partition, ``is_lg_tf_chordless`` and
 or null.  For oracle and cap it covers ``scan_configs`` at the default
 cap, so every first witness of every kind, not only the witnesses of
 rejections.  For paths it covers ``path_order`` of every node mask and
-``hole_order`` (or null when ``is_hole_graph`` is false).  Each line
-reads ``<corpus> <graphs> <sha256>``.
+``hole_order`` (or null when ``is_hole_graph`` is false).  For dense it
+covers the clique-cutset tree's ``to_json()`` and ``to_dot()``.  Each
+line reads ``<corpus> <graphs> <sha256>``.
 """
 
 from __future__ import annotations
@@ -89,11 +93,12 @@ def small_graphs() -> Iterator[Graph]:
             yield Graph.from_edge_list(n, edges)
 
 
-def _gnp(name: str, count: int, lo: int, hi: int) -> Iterator[Graph]:
+def _gnp(name: str, count: int, lo: int, hi: int,
+         ps: tuple[float, ...] = (0.2, 0.35, 0.5, 0.65, 0.8)) -> Iterator[Graph]:
     rng = random.Random(f"digest:{name}")
     for _ in range(count):
         n = rng.randint(lo, hi)
-        p = rng.choice((0.2, 0.35, 0.5, 0.65, 0.8))
+        p = rng.choice(ps)
         edges = [e for e in combinations(range(n), 2) if rng.random() < p]
         yield Graph.from_edge_list(n, edges)
 
@@ -104,6 +109,10 @@ def gnp_graphs() -> Iterator[Graph]:
 
 def cap_graphs() -> Iterator[Graph]:
     return _gnp("cap", 300, 13, 14)
+
+
+def dense_graphs() -> Iterator[Graph]:
+    return _gnp("dense", 200, 13, 20, (0.7, 0.8, 0.9))
 
 
 def synth_graphs() -> Iterator[Graph]:
@@ -200,6 +209,12 @@ def path_outputs(g: Graph) -> str:
                        hole_order(g) if is_hole_graph(g) else None])
 
 
+def clique_tree_outputs(g: Graph) -> str:
+    """The clique-cutset tree of one graph, as its JSON and DOT texts."""
+    tree = clique_decomposition_tree(g)
+    return json.dumps([tree.to_json(), tree.to_dot()])
+
+
 def twojoin_outputs(g: Graph) -> str:
     """find_2join's split of one graph, as one JSON text."""
     split = find_2join(g)
@@ -271,7 +286,8 @@ CORPORA = (("small", small_graphs, outputs), ("gnp", gnp_graphs, outputs),
            ("twojoin", twojoin_graphs, twojoin_outputs),
            ("oracle", oracle_graphs, oracle_outputs),
            ("paths", small_graphs, path_outputs),
-           ("cap", cap_graphs, oracle_outputs))
+           ("cap", cap_graphs, oracle_outputs),
+           ("dense", dense_graphs, clique_tree_outputs))
 
 
 def main(argv: list[str]) -> int:
