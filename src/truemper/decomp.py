@@ -9,18 +9,15 @@ in place of its graph, and is not stepped again.  Each layer hands its
 output conventions to DecompTree as data: the JSON keys written before
 the root, the DOT graph name and a node label function.
 Node fields that a layer leaves unset (origin, failed_condition) are
-omitted from the JSON.
-
-The builder and the writers are plain module-level functions, not
-nested closures: a closure that calls itself is a reference cycle, which
-would keep each call's whole tree alive until a cyclic collection.
+omitted from the JSON.  The builder and the DOT writer walk the tree with
+explicit stacks, so a tree may be deeper than Python's recursion limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from typing import Any, Callable, Iterator, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from .graph import Graph, graph_json
 
@@ -79,21 +76,25 @@ class DecompTree:
         return {**self.head, "root": self.root.to_json()}
 
     def to_dot(self) -> str:
+        """One line per node, with preorder ids, and one per edge, written
+        after its child's subtree."""
         lines = [f"graph {self.dot_name} {{", "  node [shape=box];"]
-        _dot_lines(self.root, self.label, lines, count())
+        ids = count()
+        # (node, parent id) to visit, or a finished edge's line
+        todo: list = [(self.root, None)]
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):
+                lines.append(item)
+                continue
+            node, parent = item
+            idx = next(ids)
+            lines.append(f'  v{idx} [label="{self.label(node)}"];')
+            if parent is not None:
+                todo.append(f"  v{parent} -- v{idx};")
+            todo.extend((child, idx) for child in reversed(node.children))
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-
-def _dot_lines(node: DecompNode, label: Callable[[DecompNode], str],
-               lines: list[str], ids: Iterator[int]) -> int:
-    """Append the DOT lines of node's subtree (preorder ids, each edge
-    after its child's subtree); return node's id."""
-    idx = next(ids)
-    lines.append(f'  v{idx} [label="{label(node)}"];')
-    for child in node.children:
-        lines.append(f"  v{idx} -- v{_dot_lines(child, label, lines, ids)};")
-    return idx
 
 
 StepResult = tuple[DecompNode, Optional[tuple[Block, Block]]]
@@ -110,20 +111,21 @@ def decompose(graph: Graph, step: Callable[[Graph], StepResult],
     maps; without one no node does.
     """
     leaves: list[DecompNode] = []
-    return _grow(graph, step, origin, leaves), leaves
-
-
-def _grow(item: Union[Graph, DecompNode], step: Callable[[Graph], StepResult],
-          origin: Optional[tuple[int, ...]], leaves: list[DecompNode]) -> DecompNode:
-    node, blocks = (item, None) if isinstance(item, DecompNode) else step(item)
-    node.origin = origin
-    if blocks is None:
-        leaves.append(node)
-        return node
-    children = []
-    # a loop, not a generator expression, which would add a frame per level
-    for block, id_map in blocks:
-        children.append(_grow(block, step, None if origin is None else
-                               tuple(origin[v] for v in id_map), leaves))
-    node.children = tuple(children)
-    return node
+    root = None
+    # (graph or leaf node, its origin, its parent node), first block on top
+    todo: list = [(graph, origin, None)]
+    while todo:
+        item, origin, parent = todo.pop()
+        node, blocks = (item, None) if isinstance(item, DecompNode) else step(item)
+        node.origin = origin
+        if parent is None:
+            root = node
+        else:
+            parent.children += (node,)
+        if blocks is None:
+            leaves.append(node)
+            continue
+        for block, id_map in reversed(blocks):
+            todo.append((block, None if origin is None else
+                         tuple(origin[v] for v in id_map), node))
+    return root, leaves

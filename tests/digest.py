@@ -1,17 +1,22 @@
-"""Print one SHA-256 per seeded corpus over every output that a
-behaviour-preserving change must keep byte for byte.
+"""Hash every seeded corpus over every output that a
+behaviour-preserving change must keep byte for byte, and check each hash
+against its pin in tests/digests.json.
 
-Usage: PYTHONPATH=src python3 tools/digest.py [CORPUS ...]
+Usage: PYTHONPATH=src python3 tests/digest.py [CORPUS ...]
 
 With no names every corpus is hashed, in the order listed below; with
 names only those are, in that order (a 2-join change, for example, needs
-only ``twojoin gen synth small gnp``).  An unknown name is an error
-(exit status 2).
+only ``twojoin gen synth small gnp``).  Each line reads
+``<corpus> <graphs> <sha256>`` followed by ``ok`` when it equals the
+pin, or by ``differs (pinned <graphs> <sha256>)``.  The exit status is
+0 when every line is ok, 1 when any differs and 2 for an unknown name.
+A change that alters outputs on purpose updates the pins of the corpora
+it names, and only those.
 
 The library is imported from whatever ``truemper`` is on the path, so an
 exported copy of another commit is checked the same way:
 
-    PYTHONPATH=/path/to/other/src python3 tools/digest.py
+    PYTHONPATH=/path/to/other/src python3 tests/digest.py
 
 Corpora (fixed seeds, so the same library gives the same lines):
 
@@ -53,8 +58,7 @@ or null.  For oracle and cap it covers ``scan_configs`` at the default
 cap, so every first witness of every kind, not only the witnesses of
 rejections.  For paths it covers ``path_order`` of every node mask and
 ``hole_order`` (or null when ``is_hole_graph`` is false).  For dense it
-covers the clique-cutset tree's ``to_json()`` and ``to_dot()``.  Each
-line reads ``<corpus> <graphs> <sha256>``.
+covers the clique-cutset tree's ``to_json()`` and ``to_dot()``.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ import hashlib
 import json
 import random
 import sys
-from itertools import combinations
+from pathlib import Path
 from typing import Iterator
 
 from truemper.basic import (_krausz_partition, _root_with_edge_map,
@@ -80,39 +84,25 @@ from truemper.recognize import (recognize_only_prism, recognize_only_pyramid,
 from truemper.twojoin import (blocks_of_2join, compose_2join_with_split,
                               find_2join, two_join_decomposition_tree)
 
+import util
+
+PINS = json.loads((Path(__file__).resolve().parent / "digests.json").read_text())
 WITNESS_CAP = 14
 RECOGNIZERS = (recognize_only_prism, recognize_only_pyramid,
                recognize_universally_signable)
-
-
-def small_graphs() -> Iterator[Graph]:
-    for n in range(7):
-        pairs = list(combinations(range(n), 2))
-        for code in range(1 << len(pairs)):
-            edges = [p for k, p in enumerate(pairs) if code >> k & 1]
-            yield Graph.from_edge_list(n, edges)
-
-
-def _gnp(name: str, count: int, lo: int, hi: int,
-         ps: tuple[float, ...] = (0.2, 0.35, 0.5, 0.65, 0.8)) -> Iterator[Graph]:
-    rng = random.Random(f"digest:{name}")
-    for _ in range(count):
-        n = rng.randint(lo, hi)
-        p = rng.choice(ps)
-        edges = [e for e in combinations(range(n), 2) if rng.random() < p]
-        yield Graph.from_edge_list(n, edges)
+GNP_PS = (0.2, 0.35, 0.5, 0.65, 0.8)
 
 
 def gnp_graphs() -> Iterator[Graph]:
-    return _gnp("gnp", 3000, 7, 12)
+    return util.gnp_graphs("digest:gnp", 3000, 7, 12, GNP_PS)
 
 
 def cap_graphs() -> Iterator[Graph]:
-    return _gnp("cap", 300, 13, 14)
+    return util.gnp_graphs("digest:cap", 300, 13, 14, GNP_PS)
 
 
 def dense_graphs() -> Iterator[Graph]:
-    return _gnp("dense", 200, 13, 20, (0.7, 0.8, 0.9))
+    return util.gnp_graphs("digest:dense", 200, 13, 20, (0.7, 0.8, 0.9))
 
 
 def synth_graphs() -> Iterator[Graph]:
@@ -126,26 +116,14 @@ def synth_graphs() -> Iterator[Graph]:
         yield plant_configuration(i, KINDS[i % len(KINDS)], 10 + i % 11)
 
 
-def _relabeled(g: Graph, rng: random.Random) -> Graph:
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    return Graph.from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-
-
 def root_cases() -> Iterator[Graph]:
     rng = random.Random("digest:roots")
     for _ in range(1500):
-        n = rng.randint(4, 9)
-        p = rng.choice((0.4, 0.6, 0.8))
-        base = Graph.from_edge_list(
-            n, [e for e in combinations(range(n), 2) if rng.random() < p])
-        yield _relabeled(line_graph(base), rng)
+        base = util.random_graph(rng, rng.randint(4, 9), rng.choice((0.4, 0.6, 0.8)))
+        yield util.relabeled(line_graph(base), rng)
     kept = 0
     while kept < 500:
-        n = rng.randint(6, 11)
-        p = rng.choice((0.6, 0.75, 0.9))
-        g = Graph.from_edge_list(
-            n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        g = util.random_graph(rng, rng.randint(6, 11), rng.choice((0.6, 0.75, 0.9)))
         if find_claw(g) is None:
             kept += 1
             yield g
@@ -161,38 +139,16 @@ def gen_cases() -> Iterator[tuple[Graph, object]]:
         yield plant_configuration(i, KINDS[i % len(KINDS)], 10 + i % 21), None
 
 
-def _planted_2join(rng: random.Random, n: int) -> Graph:
-    """Two random trees, each sometimes with one extra edge, joined by
-    complete bundles between special sets of one or two nodes, sometimes
-    with one stray crossing edge; node ids shuffled."""
-    k = rng.randint(3, n - 3)
-    edges = set()
-    bundles = []
-    for side in (list(range(k)), list(range(k, n))):
-        for i in range(1, len(side)):
-            edges.add((rng.choice(side[:i]), side[i]))
-        if rng.random() < 0.3:
-            edges.add(tuple(sorted(rng.sample(side, 2))))
-        sizes = [2 if rng.random() < 0.2 else 1 for _ in range(2)]
-        pick = rng.sample(side, min(len(side), sum(sizes)))
-        bundles.append((pick[:len(pick) - sizes[1]], pick[len(pick) - sizes[1]:]))
-    (a1, b1), (a2, b2) = bundles
-    if rng.random() < 0.3:
-        edges.add((rng.randrange(k), rng.randrange(k, n)))
-    edges |= {(u, v) for u in a1 for v in a2} | {(u, v) for u in b1 for v in b2}
-    return _relabeled(Graph.from_edge_list(n, sorted(edges)), rng)
-
-
 def twojoin_graphs() -> Iterator[Graph]:
     for i in range(200):
         yield plant_configuration(i, KINDS[i % len(KINDS)], 12 + i % 5)
     rng = random.Random("digest:twojoin")
     for _ in range(1600):
-        yield _planted_2join(rng, rng.randint(11, 16))
+        yield util.planted_2join(rng, rng.randint(11, 16))
 
 
 def oracle_graphs() -> Iterator[Graph]:
-    yield from small_graphs()
+    yield from util.small_graphs()
     yield from gnp_graphs()
 
 
@@ -280,12 +236,12 @@ def gen_outputs(case: tuple[Graph, object]) -> str:
     return json.dumps(out)
 
 
-CORPORA = (("small", small_graphs, outputs), ("gnp", gnp_graphs, outputs),
+CORPORA = (("small", util.small_graphs, outputs), ("gnp", gnp_graphs, outputs),
            ("synth", synth_graphs, outputs), ("gen", gen_cases, gen_outputs),
            ("roots", root_cases, root_outputs),
            ("twojoin", twojoin_graphs, twojoin_outputs),
            ("oracle", oracle_graphs, oracle_outputs),
-           ("paths", small_graphs, path_outputs),
+           ("paths", util.small_graphs, path_outputs),
            ("cap", cap_graphs, oracle_outputs),
            ("dense", dense_graphs, clique_tree_outputs))
 
@@ -297,6 +253,7 @@ def main(argv: list[str]) -> int:
         print(f"unknown corpus {', '.join(unknown)}; valid names: "
               f"{' '.join(known)}", file=sys.stderr)
         return 2
+    status = 0
     for name in argv or known:
         cases, output = known[name]
         h = hashlib.sha256()
@@ -305,8 +262,14 @@ def main(argv: list[str]) -> int:
             h.update(output(case).encode())
             h.update(b"\n")
             count += 1
-        print(f"{name} {count} {h.hexdigest()}", flush=True)
-    return 0
+        line = f"{count} {h.hexdigest()}"
+        pinned = PINS.get(name, "nothing")
+        if line == pinned:
+            print(f"{name} {line} ok", flush=True)
+        else:
+            print(f"{name} {line} differs (pinned {pinned})", flush=True)
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

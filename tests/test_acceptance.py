@@ -22,7 +22,7 @@ from truemper.twojoin import (all_2joins_brute, blocks_of_2join,
                               compose_2join_with_split, find_2join,
                               is_consistent, validate_split)
 
-from util import all_graphs, is_isomorphic, random_graph
+from util import all_graphs, is_isomorphic, random_graph, small_graphs
 
 ONLY_PRISM_EXCLUDES = ("theta", "wheel", "pyramid")
 ONLY_PYRAMID_EXCLUDES = ("theta", "wheel", "prism")
@@ -48,10 +48,7 @@ def _report(index, title, ok):
 
 def exhaustive_graphs():
     if _Cache.exhaustive is None:
-        graphs = []
-        for n in range(1, 7):
-            graphs.extend(all_graphs(n))
-        _Cache.exhaustive = graphs
+        _Cache.exhaustive = [g for g in small_graphs() if g.n]
     return _Cache.exhaustive
 
 

@@ -18,12 +18,8 @@ from truemper.oracle import contains_config, scan_configs
 from util import (all_graphs, assert_revalidates, gnp_graphs, is_isomorphic,
                   random_graph, reference_is_chordless_graph,
                   reference_is_lg_tf_chordless, reference_krausz_partition,
-                  reference_root_graph, tf_chordless_line_graphs)
-
-
-def small_graphs():
-    for n in range(7):
-        yield from all_graphs(n)
+                  reference_root_graph, relabeled, small_graphs,
+                  tf_chordless_line_graphs)
 
 
 def reference_corpus():
@@ -115,10 +111,7 @@ class TestRootGraph:
         line_graphs = []
         for _ in range(400):
             lg = line_graph(random_graph(rng, rng.randint(3, 9), 0.6))
-            perm = list(range(lg.n))
-            rng.shuffle(perm)
-            line_graphs.append(Graph.from_edge_list(
-                lg.n, [(perm[u], perm[v]) for u, v in lg.edges()]))
+            line_graphs.append(relabeled(lg, rng))
         assert sum(find_diamond(g) is not None for g in line_graphs) >= 200
         for g in list(reference_corpus()) + line_graphs:
             assert _krausz_partition(g) == reference_krausz_partition(g), g.edges()

@@ -1,39 +1,15 @@
 import json
-import os
-from pathlib import Path
 
 import pytest
 
-jsonschema = pytest.importorskip("jsonschema")
+pytest.importorskip("jsonschema")
 
 from truemper import cli
 from truemper.cli import main
 from truemper.gen import make_pyramid, plant_configuration
 from truemper.graph import Graph, write_graph_file
 
-SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
-
-
-def load_schema(name):
-    with open(SCHEMA_DIR / name, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def make_validator(name):
-    schema = load_schema(name)
-    registry = None
-    try:
-        from referencing import Registry, Resource
-        resources = []
-        for path in SCHEMA_DIR.glob("*.schema.json"):
-            with open(path) as fh:
-                doc = json.load(fh)
-            resources.append((doc["$id"], Resource.from_contents(doc)))
-            resources.append((path.name, Resource.from_contents(doc)))
-        registry = Registry().with_resources(resources)
-        return jsonschema.Draft202012Validator(schema, registry=registry)
-    except ImportError:
-        return jsonschema.Draft202012Validator(schema)
+from util import schema_validator
 
 
 @pytest.fixture
@@ -91,9 +67,9 @@ class TestRecognizeCommand:
         main(["recognize", "only-prism", path, "--json", str(out), "--witness"])
         capsys.readouterr()
         data = json.loads(out.read_text())
-        make_validator("recognition-report.schema.json").validate(data)
+        schema_validator("recognition-report.schema.json").validate(data)
         manifest = json.loads((workdir / "report.json.manifest.json").read_text())
-        make_validator("manifest.schema.json").validate(manifest)
+        schema_validator("manifest.schema.json").validate(manifest)
 
     def test_graph6_import(self, workdir, capsys):
         path = workdir / "k4.g6"
@@ -142,7 +118,7 @@ class TestDecomposeCommand:
         assert main(["decompose", "clique", path, "--json", str(out)]) == 0
         capsys.readouterr()
         data = json.loads(out.read_text())
-        make_validator("clique-tree.schema.json").validate(data)
+        schema_validator("clique-tree.schema.json").validate(data)
 
         def leaves(node):
             if node["kind"] == "leaf":
@@ -160,7 +136,7 @@ class TestDecomposeCommand:
         assert main(["decompose", "2join", path, "--json", str(out)]) == 0
         assert "no-2join" in capsys.readouterr().out
         data = json.loads(out.read_text())
-        make_validator("twojoin-tree.schema.json").validate(data)
+        schema_validator("twojoin-tree.schema.json").validate(data)
         assert data["root"]["kind"] == "no-2join"
 
     def test_2join_mode_on_composed_instance(self, workdir, capsys):
@@ -216,7 +192,7 @@ class TestGenerateCommand:
         assert main(["generate", "only-pyramid", "--seed", "5", "--size",
                      "15", "--count", "2", "--out", str(out1)]) == 0
         manifest_path = out1 / "manifest.json"
-        make_validator("manifest.schema.json").validate(
+        schema_validator("manifest.schema.json").validate(
             json.loads(manifest_path.read_text()))
         assert main(["generate", "--replay", str(manifest_path),
                      "--out", str(out2)]) == 0
@@ -231,7 +207,7 @@ class TestGenerateCommand:
         capsys.readouterr()
         recipes = list(out.glob("*.recipe.json"))
         assert recipes
-        validator = make_validator("recipe.schema.json")
+        validator = schema_validator("recipe.schema.json")
         for r in recipes:
             validator.validate(json.loads(r.read_text()))
 
@@ -322,7 +298,7 @@ class TestOracleCommand:
         main(["oracle", path, "--json", str(out)])
         capsys.readouterr()
         data = json.loads(out.read_text())
-        validator = make_validator("witness.schema.json")
+        validator = schema_validator("witness.schema.json")
         for kind, witness in data.items():
             if witness is not None:
                 validator.validate(witness)

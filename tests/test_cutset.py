@@ -13,7 +13,7 @@ from truemper.oracle import has_star_cutset, scan_configs
 
 from util import (all_graphs, assert_revalidates, gnp_graphs,
                   perfect_elimination_chordal, random_graph,
-                  reference_find_clique_cutset)
+                  reference_find_clique_cutset, small_graphs)
 
 DIAMOND = Graph.from_edge_list(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
 C5 = Graph.from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
@@ -102,13 +102,11 @@ class TestFindCliqueCutset:
         for n in range(1, 6):
             for g in all_graphs(n):
                 assert (find_clique_cutset(g) is not None) == brute_has_clique_cutset(g)
-        rng = random.Random(7)
-        for _ in range(120):
-            g = random_graph(rng, rng.randint(6, 9), rng.choice([0.2, 0.4, 0.7]))
+        for g in gnp_graphs(7, 120, 6, 9, [0.2, 0.4, 0.7]):
             assert (find_clique_cutset(g) is not None) == brute_has_clique_cutset(g)
 
     def test_a_is_the_smallest_component(self):
-        corpus = [g for n in range(7) for g in all_graphs(n)]
+        corpus = list(small_graphs())
         corpus += list(gnp_graphs(71, 300, 7, 10))
         for g in corpus:
             s = find_clique_cutset(g)
@@ -141,8 +139,7 @@ def dense_graphs():
 
 def pair_lemma_corpus():
     """Every graph with n <= 6, then the dense draws."""
-    for n in range(7):
-        yield from all_graphs(n)
+    yield from small_graphs()
     for _, g in dense_graphs():
         yield g
 
@@ -178,9 +175,7 @@ class TestPairLemma:
 
     def test_dense_45_node_graph_is_one_leaf(self):
         # the sweep over every clique took over a minute here
-        rng = random.Random(1)
-        g = Graph.from_edge_list(
-            45, [e for e in combinations(range(45), 2) if rng.random() < 0.85])
+        g = random_graph(random.Random(1), 45, 0.85)
         assert _no_cutset_by_pairs(g)
         tree = clique_decomposition_tree(g)
         assert tree.root.is_leaf and tree.root.graph == g
@@ -259,9 +254,7 @@ class TestDecompositionTree:
         assert clique_decomposition_tree(g).leaf_count <= 10
 
     def test_leaves_have_no_cutset_and_bound_holds(self):
-        rng = random.Random(12)
-        for _ in range(60):
-            g = random_graph(rng, rng.randint(1, 10), rng.choice([0.2, 0.5, 0.8]))
+        for g in gnp_graphs(12, 60, 1, 10, [0.2, 0.5, 0.8]):
             tree = clique_decomposition_tree(g)
             assert tree.leaf_count <= max(1, g.n)
             for leaf in tree.leaves:
@@ -278,10 +271,8 @@ class TestDecompositionTree:
     def test_nonempty_cutset_splits_off_a_leaf(self):
         # minimal |A| makes G[A + K] cutset-free when K is nonempty (the
         # leaf lemma), so the tree builds that child as a leaf unsearched
-        rng = random.Random(14)
         splits = 0
-        for _ in range(300):
-            g = random_graph(rng, rng.randint(2, 10), rng.choice([0.2, 0.5, 0.8]))
+        for g in gnp_graphs(14, 300, 2, 10, [0.2, 0.5, 0.8]):
             stack = [clique_decomposition_tree(g).root]
             while stack:
                 node = stack.pop()

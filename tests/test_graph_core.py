@@ -13,9 +13,9 @@ from truemper.graph import (EdgeListParseError, Graph, _hole, biconnected_blocks
                             is_hole_graph, is_triangle_free, mask_of,
                             parse_edge_list, path_order, walk)
 
-from util import (PAIRS, all_graphs, assert_revalidates, gnp_graphs,
+from util import (all_graphs, assert_revalidates, gnp_graphs,
                   graph_from_bits, is_isomorphic, random_graph,
-                  reference_find_claw, reference_find_diamond,
+                  reference_find_claw, reference_find_diamond, small_graphs,
                   tf_chordless_line_graphs)
 
 C5 = Graph.from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
@@ -236,10 +236,8 @@ class TestSmallPredicates:
         assert find_claw(C5) is None
 
     def test_cliques_match_brute_force(self):
-        rng = random.Random(11)
         mask_rng = random.Random(12)
-        for _ in range(60):
-            g = random_graph(rng, rng.randint(0, 9), rng.choice([0.3, 0.6, 0.9]))
+        for g in gnp_graphs(11, 60, 0, 9, [0.3, 0.6, 0.9]):
             for cand in (g.full_mask(), mask_rng.getrandbits(g.n)):
                 nodes = bits(cand)
                 brute = sorted(
@@ -259,14 +257,12 @@ class TestSmallPredicates:
                     return True
             return False
 
-        rng = random.Random(5)
-        for _ in range(80):
-            g = random_graph(rng, rng.randint(4, 10), rng.choice([0.2, 0.5, 0.8]))
+        for g in gnp_graphs(5, 80, 4, 10, [0.2, 0.5, 0.8]):
             assert (find_diamond(g) is not None) == brute(g, "diamond")
             assert (find_claw(g) is not None) == brute(g, "claw")
 
     def test_finders_return_the_reference_hit(self):
-        corpus = [g for n in range(7) for g in all_graphs(n)]
+        corpus = list(small_graphs())
         corpus += list(gnp_graphs(31, 400)) + list(tf_chordless_line_graphs(40))
         for g in corpus:
             assert find_claw(g) == reference_find_claw(g), g.edges()
@@ -305,10 +301,11 @@ class TestWalks:
         # every graph with n <= 6 and every node mask; the answer depends
         # only on the edges inside the mask, so each one is computed once
         for n in range(7):
-            inside = [mask_of(k for k, (u, v) in enumerate(PAIRS[n])
+            pairs = list(combinations(range(n), 2))
+            inside = [mask_of(k for k, (u, v) in enumerate(pairs)
                               if part >> u & part >> v & 1) for part in range(1 << n)]
             want = {}
-            for code in range(1 << len(PAIRS[n])):
+            for code in range(1 << len(pairs)):
                 g = graph_from_bits(n, code)
                 for part in range(1 << n):
                     key = (part, code & inside[part])

@@ -16,17 +16,11 @@ import pytest
 from truemper.basic import line_graph
 from truemper.gen import (glue_on_clique, plant_configuration, random_tf_chordless,
                           synth_only_prism, synth_only_pyramid)
-from truemper.graph import Graph, bits, cliques, induced_subgraph
+from truemper.graph import bits, cliques, induced_subgraph
 from truemper.recognize import (recognize_only_prism, recognize_only_pyramid,
                                 recognize_universally_signable)
 
-from util import perfect_elimination_chordal
-
-
-def relabeled(g, rng):
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    return Graph.from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+from util import perfect_elimination_chordal, relabeled
 
 
 def assert_relabelings_agree(g, recognize, expected, seed):

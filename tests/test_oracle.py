@@ -12,7 +12,7 @@ from truemper.gen import make_pyramid
 from util import (all_graphs, config_templates, random_graph,
                   reference_degree3, reference_prism_mask,
                   reference_pyramid_mask, reference_scan,
-                  reference_theta_mask, template_contains)
+                  reference_theta_mask, small_graphs, template_contains)
 
 K23 = Graph.from_edge_list(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
 PRISM6 = Graph.from_edge_list(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5),
@@ -280,9 +280,8 @@ class TestPrunedSweep:
             assert ([] if got is None else [got.to_json()]) == first, (g.edges(), kinds)
 
     def test_every_graph_up_to_six_nodes(self):
-        for n in range(1, 7):
-            for g in all_graphs(n):
-                self.assert_matches_reference(g, KIND_SETS if n <= 5 else [KINDS])
+        for g in small_graphs():
+            self.assert_matches_reference(g, KIND_SETS if g.n <= 5 else [KINDS])
         for i, g in enumerate(all_graphs(6)):
             # every 7th graph, so that each set of kinds meets a spread of graphs
             if i % 7 == 0:

@@ -6,6 +6,7 @@ import truemper.recognize
 from truemper.gen import (glue_on_clique, make_pyramid, plant_configuration,
                           random_tf_chordless)
 from truemper.basic import line_graph
+from truemper.decomp import INTERNAL, DecompNode, DecompTree, decompose
 from truemper.graph import Graph, induced_subgraph
 from truemper.oracle import (contains_config, is_prism, is_pyramid, is_theta,
                              is_wheel, scan_configs)
@@ -13,7 +14,7 @@ from truemper.recognize import (EXCLUDED_SETS, recognize_only_prism,
                                 recognize_only_pyramid,
                                 recognize_universally_signable)
 
-from util import all_graphs, perfect_elimination_chordal, random_graph
+from util import all_graphs, gnp_graphs, perfect_elimination_chordal, random_graph
 
 K4 = Graph.from_edge_list(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
 W4 = Graph.from_edge_list(5, [(0, 1), (1, 2), (2, 3), (0, 3),
@@ -104,9 +105,7 @@ class TestUniversallySignable:
             for g in all_graphs(n):
                 want = all(w is None for w in scan_configs(g).values())
                 assert recognize_universally_signable(g).verdict == want
-        rng = random.Random(52)
-        for _ in range(150):
-            g = random_graph(rng, rng.randint(6, 9), rng.choice([0.2, 0.4, 0.6]))
+        for g in gnp_graphs(52, 150, 6, 9, [0.2, 0.4, 0.6]):
             want = all(w is None for w in scan_configs(g).values())
             assert recognize_universally_signable(g).verdict == want, g.edges()
 
@@ -120,9 +119,7 @@ class TestOracleAgreement:
                         == oracle_verdict(g, "only-pyramid"))
 
     def test_random_medium(self):
-        rng = random.Random(53)
-        for _ in range(200):
-            g = random_graph(rng, rng.randint(6, 10), rng.choice([0.2, 0.45, 0.7]))
+        for g in gnp_graphs(53, 200, 6, 10, [0.2, 0.45, 0.7]):
             assert recognize_only_prism(g).verdict == oracle_verdict(g, "only-prism"), g.edges()
             assert (recognize_only_pyramid(g).verdict
                     == oracle_verdict(g, "only-pyramid")), g.edges()
@@ -224,3 +221,28 @@ class TestNoReferenceCycles:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestDeepTrees:
+    def test_builder_and_dot_writer_take_3000_levels(self):
+        # each level peels one node off as a finished leaf: far deeper
+        # than the recursion limit
+        def peel(g):
+            if g.n == 1:
+                return DecompNode(g, "leaf"), None
+            single = DecompNode(Graph.derived(1, [0]), "leaf")
+            rest = Graph.derived(g.n - 1, [0] * (g.n - 1))
+            return DecompNode(g, INTERNAL), ((single, (0,)),
+                                             (rest, tuple(range(1, g.n))))
+
+        n = 3001
+        root, leaves = decompose(Graph.derived(n, [0] * n), peel, tuple(range(n)))
+        assert [leaf.origin for leaf in leaves] == [(v,) for v in range(n)]
+        tree = DecompTree(root, leaves, {}, "chain", lambda node: node.kind)
+        lines = tree.to_dot().splitlines()
+        assert lines[2:5] == ['  v0 [label="internal"];', '  v1 [label="leaf"];',
+                              "  v0 -- v1;"]
+        # the last leaf, v(2n - 2), closes the right spine's edges bottom up
+        assert lines[-n:-1] == [f"  v{2 * k} -- v{2 * k + 2};"
+                                for k in reversed(range(n - 1))]
+        assert len(lines) == 3 + (2 * n - 1) + (2 * n - 2)

@@ -1,6 +1,4 @@
-import json
 import random
-from pathlib import Path
 
 import pytest
 
@@ -20,7 +18,8 @@ from truemper.twojoin import (CONSISTENCY_CONDITIONS, TwoJoinSplit,
                               two_join_decomposition_tree, validate_split)
 
 from util import (all_graphs, assert_revalidates, gnp_graphs, is_isomorphic,
-                  random_graph, reference_fixpoints)
+                  planted_2join, random_graph, reference_fixpoints,
+                  schema_validator, small_graphs)
 
 
 def hole(k):
@@ -79,32 +78,6 @@ def reference_is_consistent(g, s):
 def split_of(*node_sets):
     """The TwoJoinSplit with X1, X2, A1, A2, B1, B2 given as node sets."""
     return TwoJoinSplit(*map(mask_of, node_sets))
-
-
-def sparse_planted_2join(rng, n):
-    """Two random trees (sometimes with one extra edge) joined by complete
-    bundles between small special sets, mostly single nodes; sometimes
-    one stray crossing edge.  Node ids are shuffled."""
-    k = rng.randint(3, n - 3)
-    sides = (list(range(k)), list(range(k, n)))
-    edges = set()
-    bundles = []
-    for side in sides:
-        for i in range(1, len(side)):
-            edges.add((rng.choice(side[:i]), side[i]))
-        if rng.random() < 0.3:
-            edges.add(tuple(sorted(rng.sample(side, 2))))
-        b_size = 2 if rng.random() < 0.2 else 1
-        a_size = 2 if rng.random() < 0.2 else 1
-        pick = rng.sample(side, min(len(side), a_size + b_size))
-        bundles.append((pick[:len(pick) - b_size], pick[len(pick) - b_size:]))
-    (a1, b1), (a2, b2) = bundles
-    if rng.random() < 0.3:
-        edges.add((rng.choice(sides[0]), rng.choice(sides[1])))
-    edges |= {(u, v) for u in a1 for v in a2} | {(u, v) for u in b1 for v in b2}
-    perm = list(range(n))
-    rng.shuffle(perm)
-    return Graph.from_edge_list(n, {tuple(sorted((perm[u], perm[v]))) for u, v in edges})
 
 
 C8 = hole(8)
@@ -197,11 +170,9 @@ class TestIsConsistent:
     def test_conditions_seven_and_eight_match_per_node_search(self):
         # conditions 1-2 decide most random splits, so the one-search
         # check is also compared on every side of every almost 2-join
-        rng = random.Random(78)
         outcomes = set()
         sides_checked = 0
-        for _ in range(600):
-            g = random_graph(rng, rng.randint(6, 10), rng.choice([0.3, 0.5, 0.7]))
+        for g in gnp_graphs(78, 600, 6, 10, [0.3, 0.5, 0.7]):
             for s in all_almost_2joins_brute(g):
                 got = is_consistent(g, s)
                 assert got == reference_is_consistent(g, s), (g.edges(), s)
@@ -233,10 +204,7 @@ class TestFind2Join:
         assert validate_split(comp, split, "full").ok
 
     def test_agrees_with_brute_force(self):
-        rng = random.Random(42)
-        for _ in range(250):
-            n = rng.randint(6, 10)
-            g = random_graph(rng, n, rng.choice([0.2, 0.35, 0.5, 0.7]))
+        for g in gnp_graphs(42, 250, 6, 10, [0.2, 0.35, 0.5, 0.7]):
             brute = all_2joins_brute(g)
             mine = find_2join(g)
             assert (mine is None) == (not brute), g.edges()
@@ -253,7 +221,7 @@ class TestFind2Join:
         rng = random.Random(47)
         found = 0
         for _ in range(150):
-            g = sparse_planted_2join(rng, rng.randint(11, 14))
+            g = planted_2join(rng, rng.randint(11, 14))
             brute = all_2joins_brute(g)
             mine = find_2join(g)
             assert (mine is None) == (not brute), g.edges()
@@ -322,8 +290,7 @@ class TestClosure:
         assert few > 1000
 
     def test_every_small_graph(self):
-        assert sum(self.fixpoints_agree(g)
-                   for n in range(7) for g in all_graphs(n)) > 600000
+        assert sum(map(self.fixpoints_agree, small_graphs())) > 600000
 
     def test_gnp(self):
         assert sum(map(self.fixpoints_agree, gnp_graphs(48, 600))) > 80000
@@ -339,7 +306,7 @@ class TestClosure:
         rng = random.Random(49)
         total = 0
         for _ in range(60):
-            total += self.fixpoints_agree(sparse_planted_2join(rng, rng.randint(11, 16)))
+            total += self.fixpoints_agree(planted_2join(rng, rng.randint(11, 16)))
         assert total > 120000
 
 
@@ -432,7 +399,7 @@ class TestBlocks:
         rng = random.Random(46)
         split_count = 0
         for _ in range(60):
-            g = sparse_planted_2join(rng, rng.randint(8, 13))
+            g = planted_2join(rng, rng.randint(8, 13))
             split = find_2join(g)
             if split is not None:
                 split_count += 1
@@ -613,9 +580,7 @@ class TestDecompositionTree:
         assert internal == 33
 
     def test_call_bound(self):
-        rng = random.Random(46)
-        for _ in range(40):
-            g = random_graph(rng, rng.randint(7, 11), rng.choice([0.2, 0.4, 0.6]))
+        for g in gnp_graphs(46, 40, 7, 11, [0.2, 0.4, 0.6]):
             tree = two_join_decomposition_tree(g)
             assert tree.calls <= 2 * g.n - 13
 
@@ -661,13 +626,6 @@ NON_CONSISTENT_REJECT = {
 }
 
 
-def twojoin_tree_validator():
-    jsonschema = pytest.importorskip("jsonschema")
-    path = (Path(__file__).resolve().parent.parent / "docs" / "schemas"
-            / "twojoin-tree.schema.json")
-    return jsonschema.Draft202012Validator(json.loads(path.read_text()))
-
-
 class TestNonConsistentLeaf:
     @pytest.mark.parametrize("cond", sorted(NON_CONSISTENT_LEAF))
     def test_leaf_names_failed_condition(self, cond):
@@ -681,7 +639,7 @@ class TestNonConsistentLeaf:
             assert leaf.is_leaf
             assert validate_split(leaf.graph, leaf.split, "full")
             assert is_consistent(leaf.graph, leaf.split) == (False, cond)
-        twojoin_tree_validator().validate(tree.to_json())
+        schema_validator("twojoin-tree.schema.json").validate(tree.to_json())
 
     @pytest.mark.parametrize("cond", sorted(NON_CONSISTENT_REJECT))
     def test_only_pyramid_rejects_with_condition(self, cond):

@@ -1,18 +1,21 @@
-"""Shared helpers for the test suite: exhaustive small-graph enumeration,
-a small-n isomorphism check, an independent template-based oracle for
-the four configurations, and the plain versions of the claw and diamond
-finders, the clique-cutset search over every clique, the chord test,
-the clique-enumerating root search, the
-per-node 2-join forcing closure, the per-kind theta, prism and pyramid
-checks and the combinations sweep of the oracle that the library's
-bitset, bounded-candidate, mask-algebra, three-path and pruned-DFS
-versions must match exactly."""
+"""Shared helpers for the test suite: the seeded corpora (every small
+labeled graph, seeded G(n, p), relabelings and planted 2-joins) that the
+tests and tests/digest.py draw from, a JSON Schema validator, a small-n
+isomorphism check, an independent template-based oracle for the four
+configurations, and the plain versions of the claw and diamond finders,
+the clique-cutset search over every clique, the chord test, the
+clique-enumerating root search, the per-node 2-join forcing closure, the
+per-kind theta, prism and pyramid checks and the combinations sweep of
+the oracle that the library's bitset, bounded-candidate, mask-algebra,
+three-path and pruned-DFS versions must match exactly."""
 
 from __future__ import annotations
 
+import json
 import random
 from functools import lru_cache
 from itertools import combinations
+from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
 from truemper.basic import _root_with_edge_map, line_graph
@@ -25,12 +28,16 @@ from truemper.oracle import (_KIND_BY_DEGREE3, _MIN_NODES, ConfigWitness,
                              _three_path_mask, _wheel_mask)
 from truemper.twojoin import TwoJoinSplit, validate_split
 
-PAIRS = {n: list(combinations(range(n), 2)) for n in range(0, 15)}
+SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
+
+# -- the seeded corpora (tests/digest.py pins the graphs they draw) -----------
 
 def graph_from_bits(n: int, code: int) -> Graph:
+    """The graph on n nodes with pair k of combinations(range(n), 2) an
+    edge iff bit k of code is set."""
     rows = [0] * n
-    for k, (u, v) in enumerate(PAIRS[n]):
+    for k, (u, v) in enumerate(combinations(range(n), 2)):
         if code >> k & 1:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
@@ -43,19 +50,58 @@ def all_graphs(n: int) -> Iterator[Graph]:
         yield graph_from_bits(n, code)
 
 
+def small_graphs() -> Iterator[Graph]:
+    """Every labeled graph with n <= 6 (33868 graphs)."""
+    for n in range(7):
+        yield from all_graphs(n)
+
+
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
+    """G(n, p): one rng.random() per pair, in combinations order."""
     rows = [0] * n
-    for u, v in PAIRS[n]:
+    for u, v in combinations(range(n), 2):
         if rng.random() < p:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
     return Graph(n, rows)
 
 
-def gnp_graphs(seed, count: int, lo: int = 7, hi: int = 12) -> Iterator[Graph]:
+def gnp_graphs(seed, count: int, lo: int = 7, hi: int = 12,
+               ps: Sequence[float] = (0.2, 0.35, 0.5, 0.7, 0.85)) -> Iterator[Graph]:
+    """count seeded G(n, p), each with n = rng.randint(lo, hi) and then
+    p = rng.choice(ps)."""
     rng = random.Random(seed)
     for _ in range(count):
-        yield random_graph(rng, rng.randint(lo, hi), rng.choice([0.2, 0.35, 0.5, 0.7, 0.85]))
+        yield random_graph(rng, rng.randint(lo, hi), rng.choice(ps))
+
+
+def relabeled(g: Graph, rng: random.Random) -> Graph:
+    """g with its node ids permuted by one rng.shuffle."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def planted_2join(rng: random.Random, n: int) -> Graph:
+    """Two random trees, each sometimes with one extra edge, joined by
+    complete bundles between special sets of one or two nodes, sometimes
+    with one stray crossing edge; node ids shuffled."""
+    k = rng.randint(3, n - 3)
+    edges = set()
+    bundles = []
+    for side in (list(range(k)), list(range(k, n))):
+        for i in range(1, len(side)):
+            edges.add((rng.choice(side[:i]), side[i]))
+        if rng.random() < 0.3:
+            edges.add(tuple(sorted(rng.sample(side, 2))))
+        sizes = [2 if rng.random() < 0.2 else 1 for _ in range(2)]
+        pick = rng.sample(side, min(len(side), sum(sizes)))
+        bundles.append((pick[:len(pick) - sizes[1]], pick[len(pick) - sizes[1]:]))
+    (a1, b1), (a2, b2) = bundles
+    if rng.random() < 0.3:
+        edges.add((rng.randrange(k), rng.randrange(k, n)))
+    edges |= {(u, v) for u in a1 for v in a2} | {(u, v) for u in b1 for v in b2}
+    return relabeled(Graph.from_edge_list(n, sorted(edges)), rng)
 
 
 def tf_chordless_line_graphs(count: int) -> Iterator[Graph]:
@@ -67,6 +113,25 @@ def assert_revalidates(g: Graph) -> None:
     """A derived graph must equal its rebuild through the checking
     constructor."""
     assert Graph(g.n, [g.adj_mask(v) for v in range(g.n)]) == g
+
+
+def schema_validator(name: str):
+    """A validator for docs/schemas/<name> that resolves references to
+    the other schemas there; the calling test is skipped without
+    jsonschema."""
+    import pytest
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads((SCHEMA_DIR / name).read_text(encoding="utf-8"))
+    try:
+        from referencing import Registry, Resource
+    except ImportError:
+        return jsonschema.Draft202012Validator(schema)
+    resources = []
+    for path in SCHEMA_DIR.glob("*.schema.json"):
+        doc = Resource.from_contents(json.loads(path.read_text(encoding="utf-8")))
+        resources += [(doc.contents["$id"], doc), (path.name, doc)]
+    return jsonschema.Draft202012Validator(
+        schema, registry=Registry().with_resources(resources))
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:
