@@ -185,8 +185,10 @@ def find_2join(g: Graph) -> Optional[TwoJoinSplit]:
     """A valid 2-join split of g, or None if none exists.
 
     A seed (a1, a2, b1, b2) is a pair of disjoint edges a1a2, b1b2 with
-    a1b2 and b1a2 non-edges.  Each seed, in lexicographic order, grows
-    X1 from {a1, b1} to its forcing fixpoint (see _closure), with a2 and
+    a1b2 and b1a2 non-edges.  _seeds lists them in lexicographic order
+    of their edge pairs from adjacency masks, in O(n) mask operations
+    per edge plus O(1) per seed.  Each seed, in that order, grows X1
+    from {a1, b1} to its forcing fixpoint (see _closure), with a2 and
     b2 pinned in X2.  Then each stalled seed is closed again with one
     extra node c, for every c outside its fixpoint and the pins in
     ascending order; the retry resumes from the seed's fixpoint plus c,
@@ -201,7 +203,7 @@ def find_2join(g: Graph) -> Optional[TwoJoinSplit]:
     stops there: forcing is monotone and idempotent for fixed pins, so
     that retry's fixpoint contains the dead node's and ends the same
     way.  Every fixpoint that could validate is still tried, in the same
-    order.  Memory is O(m) words plus one byte per seed.  The first
+    order.  Memory is O(n) words plus one byte per seed.  The first
     fixpoint that validate_split accepts, with A1 = N(a2) & X1,
     B1 = N(b2) & X1, A2 = N(a1) - X1 and B2 = N(b1) - X1, is returned,
     so every answer is checked and the result is deterministic.
@@ -248,17 +250,48 @@ def find_2join(g: Graph) -> Optional[TwoJoinSplit]:
 
 
 def _seeds(g: Graph) -> Iterator[tuple[int, int, int, int]]:
-    """Every seed (a1, a2, b1, b2) in find_2join's order."""
+    """Every seed (a1, a2, b1, b2) in find_2join's order: disjoint edges
+    uv before xy (u < v, x < y, lexicographically), each in the
+    orientations (u,v,x,y), (u,v,y,x), (v,u,x,y), (v,u,y,x) that are
+    seeds.
+
+    Read from adjacency masks, not from an edge list.  An edge xy after
+    uv that misses u and v has u < x and x, y != v, so x runs over the
+    nodes above u with an upper neighbour and y over up[x], the
+    neighbours above x.  (u,v,x,y) and (v,u,y,x) need x outside N(v)
+    and y outside N(u), so their y form fit1; (u,v,y,x) and (v,u,x,y)
+    need x outside N(u) and y outside N(v), so theirs form fit2.  That
+    is O(n) mask operations per edge uv plus O(1) per seed, with no test
+    per pair of edges; memory is O(n) words.
+    """
     adj = g._adj
-    edges = g.edges()
-    for i, (u, v) in enumerate(edges):
-        for eb in edges[i + 1:]:
-            if u in eb or v in eb:
-                continue
-            for a1, a2 in ((u, v), (v, u)):
-                for b1, b2 in (eb, eb[::-1]):
-                    if not (adj[a1] >> b2 & 1 or adj[b1] >> a2 & 1):
-                        yield a1, a2, b1, b2
+    up = [row & -2 << x for x, row in enumerate(adj)]
+    has_up = sum(1 << x for x, row in enumerate(up) if row)
+    for u in range(g.n):
+        nu = adj[u]
+        for v in bits(up[u]):
+            nv = adj[v]
+            uv = (1 << u) | (1 << v)
+            lows = has_up & ~uv & -2 << u
+            while lows:
+                xb = lows & -lows
+                lows ^= xb
+                x = xb.bit_length() - 1
+                ends = up[x] & ~uv
+                fit1 = 0 if nv & xb else ends & ~nu
+                fit2 = 0 if nu & xb else ends & ~nv
+                highs = fit1 | fit2
+                while highs:
+                    yb = highs & -highs
+                    highs ^= yb
+                    y = yb.bit_length() - 1
+                    if fit1 & yb:
+                        yield u, v, x, y
+                    if fit2 & yb:
+                        yield u, v, y, x
+                        yield v, u, x, y
+                    if fit1 & yb:
+                        yield v, u, y, x
 
 
 def _fixpoints(g: Graph) -> Iterator[tuple[int, int, int, int, int]]:
@@ -276,7 +309,8 @@ def _fixpoints(g: Graph) -> Iterator[tuple[int, int, int, int, int]]:
     extra node c whose retry contradicts or leaves X2 = {a2, b2} joins
     the dead mask, which starts as N(a2) & N(b2); a later retry that
     forces a dead node stops at once (see _closure for why that loses
-    nothing).  Memory is O(m) words plus one byte per seed.
+    nothing).  Seeds are listed twice, by _seeds, rather than kept.
+    Memory is O(n) words plus one byte per seed.
     """
     adj = g._adj
     full = g.full_mask()

@@ -11,18 +11,17 @@ import random
 import time
 
 from truemper.cutset import find_clique_cutset
-from truemper.gen import (_marker_candidates, _random_safe_labeled_tree,
-                          make_pyramid, plant_configuration, synth_only_prism,
+from truemper.gen import (plant_configuration, synth_only_prism,
                           synth_only_pyramid)
-from truemper.basic import build_pyramid_basic, is_lg_tf_chordless, root_graph
+from truemper.basic import is_lg_tf_chordless, root_graph
 from truemper.graph import find_claw, find_diamond, induced_subgraph
 from truemper.oracle import has_star_cutset, scan_configs
 from truemper.recognize import (recognize_only_prism, recognize_only_pyramid)
-from truemper.twojoin import (all_2joins_brute, blocks_of_2join,
-                              compose_2join_with_split, find_2join,
+from truemper.twojoin import (all_2joins_brute, blocks_of_2join, find_2join,
                               is_consistent, validate_split)
 
-from util import all_graphs, is_isomorphic, random_graph, small_graphs
+from util import (all_graphs, consistent_composition, is_isomorphic,
+                  random_graph, small_graphs)
 
 ONLY_PRISM_EXCLUDES = ("theta", "wheel", "pyramid")
 ONLY_PYRAMID_EXCLUDES = ("theta", "wheel", "prism")
@@ -252,37 +251,11 @@ def test_criterion_6_twojoin_oracle():
     assert not failures, failures[:5]
 
 
-def _random_compose_factor(rng):
-    while True:
-        if rng.random() < 0.6:
-            g = make_pyramid(tuple(sorted(rng.randint(2, 3) for _ in range(3))))
-        else:
-            t = _random_safe_labeled_tree(rng)
-            if t is None:
-                continue
-            g = build_pyramid_basic(t)
-        if g.n <= 9 and _marker_candidates(g):
-            return g
-
-
 def test_criterion_7_preservation_lemmas():
     rng = random.Random("acceptance:compose")
     failures = []
-    produced = 0
-    while produced < 200:
-        g1 = _random_compose_factor(rng)
-        g2 = _random_compose_factor(rng)
-        m1 = rng.choice(_marker_candidates(g1))
-        m2 = rng.choice(_marker_candidates(g2))
-        try:
-            comp, split = compose_2join_with_split(g1, m1, g2, m2)
-        except ValueError:
-            continue
-        if comp.n > 14 or not validate_split(comp, split, "full").ok:
-            continue
-        if not is_consistent(comp, split)[0]:
-            continue
-        produced += 1
+    for produced in range(1, 201):
+        comp, split, g1, g2 = consistent_composition(rng)
         (b1, _), (b2, _) = blocks_of_2join(comp, split)
         if not (is_isomorphic(b1, g1) and is_isomorphic(b2, g2)):
             failures.append(("round-trip", produced))

@@ -7,9 +7,19 @@ import digest
 CHANGED = "200 " + "0" * 64
 
 
+def assert_matches_its_pin(name, capsys):
+    assert digest.main([name]) == 0
+    assert capsys.readouterr().out == f"{name} {digest.PINS[name]} ok\n"
+
+
 def test_dense_corpus_matches_its_pin(capsys):
-    assert digest.main(["dense"]) == 0
-    assert capsys.readouterr().out == f"dense {digest.PINS['dense']} ok\n"
+    assert_matches_its_pin("dense", capsys)
+
+
+def test_twojoin_corpus_matches_its_pin(capsys):
+    # find_2join's split on 1800 graphs, so a change to its output fails
+    # here and not only in the slow tier
+    assert_matches_its_pin("twojoin", capsys)
 
 
 def test_a_changed_pin_is_named(monkeypatch, capsys):

@@ -10,16 +10,17 @@ from truemper.graph import Graph, bits, mask_of
 from truemper.oracle import KINDS, scan_configs
 from truemper.recognize import recognize_only_pyramid
 from truemper.twojoin import (CONSISTENCY_CONDITIONS, TwoJoinSplit,
-                              _all_reach_avoiding, _fixpoints,
+                              _all_reach_avoiding, _fixpoints, _seeds,
                               all_2joins_brute, all_almost_2joins_brute,
                               blocks_of_2join, check_marker_precondition,
                               compose_2join, compose_2join_with_split,
                               find_2join, is_consistent,
                               two_join_decomposition_tree, validate_split)
 
-from util import (all_graphs, assert_revalidates, gnp_graphs, is_isomorphic,
-                  planted_2join, random_graph, reference_fixpoints,
-                  schema_validator, small_graphs)
+from util import (all_graphs, assert_revalidates, consistent_composition,
+                  gnp_graphs, is_isomorphic, planted_2join, random_graph,
+                  reference_fixpoints, reference_seeds, schema_validator,
+                  small_graphs)
 
 
 def hole(k):
@@ -237,6 +238,32 @@ class TestFind2Join:
         split = find_2join(g)
         assert split is not None
         assert validate_split(g, split, "full").ok
+
+
+class TestSeeds:
+    """The adjacency-mask seed listing against the edge-pair enumerator
+    it replaced: every seed, those whose closure contradicts included,
+    in the same order."""
+
+    @staticmethod
+    def seeds_agree(g):
+        mine = list(_seeds(g))
+        assert mine == list(reference_seeds(g)), g.edges()
+        return len(mine)
+
+    def test_every_small_graph(self):
+        assert sum(map(self.seeds_agree, small_graphs())) > 350000
+
+    def test_gnp_up_to_dense(self):
+        graphs = gnp_graphs(51, 600, 7, 16, (0.2, 0.35, 0.5, 0.7, 0.85, 0.95))
+        assert sum(map(self.seeds_agree, graphs)) > 150000
+
+    def test_planted_2joins(self):
+        rng = random.Random(52)
+        total = 0
+        for _ in range(300):
+            total += self.seeds_agree(planted_2join(rng, rng.randint(11, 16)))
+        assert total > 70000
 
 
 class TestClosure:
@@ -474,41 +501,10 @@ class TestCompose:
 
 
 class TestPreservationLemmas:
-    def _composed_pair(self, rng):
-        from truemper.gen import _random_safe_labeled_tree
-        from truemper.basic import build_pyramid_basic
-        while True:
-            choices = []
-            for _ in range(2):
-                if rng.random() < 0.6:
-                    choices.append(make_pyramid(tuple(sorted(
-                        rng.randint(2, 3) for _ in range(3)))))
-                else:
-                    t = _random_safe_labeled_tree(rng)
-                    if t is None:
-                        break
-                    choices.append(build_pyramid_basic(t))
-            if len(choices) < 2 or any(c.n > 9 for c in choices):
-                continue
-            g1, g2 = choices
-            ms1, ms2 = _marker_candidates(g1), _marker_candidates(g2)
-            if not ms1 or not ms2:
-                continue
-            m1, m2 = rng.choice(ms1), rng.choice(ms2)
-            try:
-                comp, split = compose_2join_with_split(g1, m1, g2, m2)
-            except ValueError:
-                continue
-            if comp.n > 14 or not validate_split(comp, split, "full").ok:
-                continue
-            if not is_consistent(comp, split)[0]:
-                continue
-            return comp, split, g1, g2
-
     def test_keep_lemmas_and_round_trip(self):
         rng = random.Random(45)
         for _ in range(25):
-            comp, split, g1, g2 = self._composed_pair(rng)
+            comp, split, g1, g2 = consistent_composition(rng)
             (b1, _), (b2, _) = blocks_of_2join(comp, split)
             assert is_isomorphic(b1, g1) and is_isomorphic(b2, g2)
             # clique cutsets transfer between the graph and its blocks

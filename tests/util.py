@@ -1,13 +1,15 @@
 """Shared helpers for the test suite: the seeded corpora (every small
-labeled graph, seeded G(n, p), relabelings and planted 2-joins) that the
-tests and tests/digest.py draw from, a JSON Schema validator, a small-n
-isomorphism check, an independent template-based oracle for the four
-configurations, and the plain versions of the claw and diamond finders,
-the clique-cutset search over every clique, the chord test, the
-clique-enumerating root search, the per-node 2-join forcing closure, the
-per-kind theta, prism and pyramid checks and the combinations sweep of
-the oracle that the library's bitset, bounded-candidate, mask-algebra,
-three-path and pruned-DFS versions must match exactly."""
+labeled graph, seeded G(n, p), relabelings, planted 2-joins and random
+consistent 2-join compositions) that the tests and tests/digest.py draw
+from, a JSON Schema validator, a small-n isomorphism check, an
+independent template-based oracle for the four configurations, and the
+plain versions of the claw and diamond finders, the clique-cutset search
+over every clique, the chord test, the clique-enumerating root search,
+the edge-pair 2-join seed enumerator, the per-node 2-join forcing
+closure, the per-kind theta, prism and pyramid checks and the
+combinations sweep of the oracle that the library's bitset,
+bounded-candidate, adjacency-mask, mask-algebra, three-path and
+pruned-DFS versions must match exactly."""
 
 from __future__ import annotations
 
@@ -18,15 +20,17 @@ from itertools import combinations
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
-from truemper.basic import _root_with_edge_map, line_graph
+from truemper.basic import _root_with_edge_map, build_pyramid_basic, line_graph
 from truemper.cutset import CliqueSplit
-from truemper.gen import random_tf_chordless
+from truemper.gen import (_marker_candidates, _random_safe_labeled_tree,
+                          make_pyramid, random_tf_chordless)
 from truemper.graph import (Graph, biconnected_blocks, bits, cliques,
                             components_masks, is_clique_graph,
                             is_triangle_free, mask_of, walk)
 from truemper.oracle import (_KIND_BY_DEGREE3, _MIN_NODES, ConfigWitness,
                              _three_path_mask, _wheel_mask)
-from truemper.twojoin import TwoJoinSplit, validate_split
+from truemper.twojoin import (TwoJoinSplit, compose_2join_with_split,
+                              is_consistent, validate_split)
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -102,6 +106,40 @@ def planted_2join(rng: random.Random, n: int) -> Graph:
         edges.add((rng.randrange(k), rng.randrange(k, n)))
     edges |= {(u, v) for u in a1 for v in a2} | {(u, v) for u in b1 for v in b2}
     return relabeled(Graph.from_edge_list(n, sorted(edges)), rng)
+
+
+def _compose_factor(rng: random.Random) -> Graph:
+    """A (2|3)-pyramid with probability 0.6, else the pyramid-basic graph
+    of a random safe labeled tree; redrawn until it has at most 9 nodes
+    and a marker path."""
+    while True:
+        if rng.random() < 0.6:
+            g = make_pyramid(tuple(sorted(rng.randint(2, 3) for _ in range(3))))
+        else:
+            t = _random_safe_labeled_tree(rng)
+            if t is None:
+                continue
+            g = build_pyramid_basic(t)
+        if g.n <= 9 and _marker_candidates(g):
+            return g
+
+
+def consistent_composition(
+        rng: random.Random) -> tuple[Graph, TwoJoinSplit, Graph, Graph]:
+    """(composition, split, g1, g2): two random factors composed on one
+    random marker path each, redrawn until the composition has at most
+    14 nodes and its split is a full, consistent 2-join."""
+    while True:
+        g1, g2 = _compose_factor(rng), _compose_factor(rng)
+        m1 = rng.choice(_marker_candidates(g1))
+        m2 = rng.choice(_marker_candidates(g2))
+        try:
+            comp, split = compose_2join_with_split(g1, m1, g2, m2)
+        except ValueError:
+            continue
+        if (comp.n <= 14 and validate_split(comp, split, "full")
+                and is_consistent(comp, split)[0]):
+            return comp, split, g1, g2
 
 
 def tf_chordless_line_graphs(count: int) -> Iterator[Graph]:
@@ -522,27 +560,34 @@ def reference_closure(g: Graph, a1: int, a2: int, b1: int, b2: int,
     return (split if validate_split(g, split, mode="full") else None), x1
 
 
+def reference_seeds(g: Graph) -> Iterator[tuple[int, int, int, int]]:
+    """Every seed (a1, a2, b1, b2) by testing every pair of edges in
+    lexicographic order, each in four orientations: the seed enumerator
+    before the adjacency-mask one, kept as written."""
+    adj = g._adj
+    edges = g.edges()
+    for i, (u, v) in enumerate(edges):
+        for eb in edges[i + 1:]:
+            if u in eb or v in eb:
+                continue
+            for a1, a2 in ((u, v), (v, u)):
+                for b1, b2 in (eb, eb[::-1]):
+                    if not (adj[a1] >> b2 & 1 or adj[b1] >> a2 & 1):
+                        yield a1, a2, b1, b2
+
+
 def reference_fixpoints(g: Graph) -> list[tuple[int, int, int, int, int]]:
     """(a1, a2, b1, b2, x1) for every seed closure and every retry of a
     stalled seed with one extra node c outside its fixpoint and the pins,
     each by a fresh reference_closure from {a1, b1, c}, in seed order and
     then retry order; contradictions (x1 = 0) are left out."""
-    adj = g._adj
-    edges = g.edges()
     out = []
     stalled = []
-    for i, ea in enumerate(edges):
-        for eb in edges[i + 1:]:
-            if set(ea) & set(eb):
-                continue
-            for a1, a2 in (ea, ea[::-1]):
-                for b1, b2 in (eb, eb[::-1]):
-                    if adj[a1] >> b2 & 1 or adj[b1] >> a2 & 1:
-                        continue
-                    _, x1 = reference_closure(g, a1, a2, b1, b2, 0)
-                    if x1:
-                        out.append((a1, a2, b1, b2, x1))
-                        stalled.append((a1, a2, b1, b2, x1))
+    for a1, a2, b1, b2 in reference_seeds(g):
+        _, x1 = reference_closure(g, a1, a2, b1, b2, 0)
+        if x1:
+            out.append((a1, a2, b1, b2, x1))
+            stalled.append((a1, a2, b1, b2, x1))
     for a1, a2, b1, b2, x1 in stalled:
         for c in bits(g.full_mask() & ~x1 & ~(1 << a2) & ~(1 << b2)):
             _, y1 = reference_closure(g, a1, a2, b1, b2, 1 << c)
