@@ -147,8 +147,9 @@ def is_chordless_graph(r: Graph) -> bool:
     """True iff every cycle of r is chordless.
 
     An edge uv is a chord of some cycle exactly when u and v still share
-    a 2-connected block after the edge itself is removed.  Both ends of a
-    chord lie on its cycle, so both have degree at least 3.
+    a block, a node mask of biconnected_blocks, after the edge itself is
+    removed.  Both ends of a chord lie on its cycle, so both have degree
+    at least 3.
     """
     adj = r._adj
     for u, v in r.edges():
@@ -157,14 +158,10 @@ def is_chordless_graph(r: Graph) -> bool:
         rows = list(adj)
         rows[u] &= ~(1 << v)
         rows[v] &= ~(1 << u)
-        stripped = Graph.derived(r.n, rows)
-        for block in biconnected_blocks(stripped):
-            nodes = set()
-            for a, b in block:
-                nodes.add(a)
-                nodes.add(b)
-            if u in nodes and v in nodes:
-                return False
+        both = 1 << u | 1 << v
+        if any(block & both == both
+               for block in biconnected_blocks(Graph.derived(r.n, rows))):
+            return False
     return True
 
 

@@ -74,16 +74,13 @@ class Graph:
         if n < 0 or n > MAX_NODES:
             raise ValueError(f"node count {n} outside supported range 0..{MAX_NODES}")
         rows = [0] * n
-        seen = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at node {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ValueError(f"duplicate edge ({key[0]}, {key[1]})")
-            seen.add(key)
+            if rows[u] >> v & 1:
+                raise ValueError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return Graph.derived(n, rows)
@@ -98,7 +95,7 @@ class Graph:
         return self._adj[v]
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(_bits(self.adj_mask(v)))
+        return tuple(bits(self.adj_mask(v)))
 
     def degree(self, v: int) -> int:
         return self.adj_mask(v).bit_count()
@@ -110,16 +107,7 @@ class Graph:
         return bool(self._adj[u] >> v & 1)
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for u in range(self.n):
-            row = self._adj[u] >> (u + 1)
-            v = u + 1
-            while row:
-                if row & 1:
-                    out.append((u, v))
-                row >>= 1
-                v += 1
-        return out
+        return [(u, v) for u, row in enumerate(self._adj) for v in bits(row & -2 << u)]
 
     @property
     def m(self) -> int:
@@ -138,16 +126,15 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _bits(mask: int) -> Iterator[int]:
+def bits(mask: int) -> list[int]:
+    """Node ids present in a bitmask, ascending.  The one bit walker:
+    only the hot kernels peel lowest bits inline instead."""
+    out = []
     while mask:
         b = mask & -mask
-        yield b.bit_length() - 1
+        out.append(b.bit_length() - 1)
         mask ^= b
-
-
-def bits(mask: int) -> list[int]:
-    """Node ids present in a bitmask, ascending."""
-    return list(_bits(mask))
+    return out
 
 
 def mask_of(nodes: Iterable[int]) -> int:
@@ -219,61 +206,65 @@ def is_connected(g: Graph) -> bool:
     return len(components_masks(g)) == 1
 
 
-def biconnected_blocks(g: Graph) -> list[frozenset[tuple[int, int]]]:
-    """2-connected blocks as edge sets (edges normalized u < v).
+def biconnected_blocks(g: Graph) -> list[int]:
+    """The blocks of g as node bitmasks: its maximal 2-connected subgraphs
+    and its bridges (two-node blocks); isolated nodes give none.
 
-    Iterative Hopcroft-Tarjan; isolated nodes contribute no block.
+    One iterative Hopcroft-Tarjan walk over the adjacency rows.  In a
+    depth-first search every non-tree edge joins a node to an ancestor,
+    so the nodes already seen next to a new node w, its parent aside,
+    are exactly the targets of w's back edges.  low[v] is the earliest
+    discovery time among v and the back-edge targets of v's subtree; a
+    child v of p closes a block, p plus the nodes stacked from v on,
+    when low[v] >= disc[p].
     """
-    disc = [-1] * g.n
+    adj = g._adj
+    disc = [0] * g.n
     low = [0] * g.n
-    blocks: list[frozenset[tuple[int, int]]] = []
-    stack: list[tuple[int, int]] = []
-    timer = 0
+    left = list(adj)  # left[v]: the neighbours v has still to try
+    blocks: list[int] = []
+    seen = 0
     for root in range(g.n):
-        if disc[root] != -1:
+        if seen >> root & 1:
             continue
-        work = [(root, -1, iter(g.neighbors(root)))]
-        disc[root] = low[root] = timer
-        timer += 1
-        while work:
-            v, parent, it = work[-1]
-            advanced = False
-            for w in it:
-                if w == parent:
-                    # skip one parent edge occurrence; simple graph so this is exact
-                    parent = -1
-                    work[-1] = (v, -1, it)
-                    continue
-                if disc[w] == -1:
-                    stack.append((v, w) if v < w else (w, v))
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    work.append((w, v, iter(g.neighbors(w))))
-                    advanced = True
-                    break
-                if disc[w] < disc[v]:
-                    stack.append((v, w) if v < w else (w, v))
-                    low[v] = min(low[v], disc[w])
-                    work[-1] = (v, parent, it)
-            if advanced:
+        seen |= 1 << root
+        disc[root] = low[root] = time = 0  # only one tree's times are compared
+        stack = [root]  # nodes of the blocks still open
+        path = [root]  # the search path from root
+        while path:
+            v = path[-1]
+            todo = left[v] & ~seen
+            if todo:
+                b = todo & -todo
+                left[v] = todo ^ b
+                w = b.bit_length() - 1
+                time += 1
+                disc[w] = low_w = time
+                up = adj[w] & seen & ~(1 << v)
+                while up:
+                    a = up & -up
+                    d = disc[a.bit_length() - 1]
+                    if d < low_w:
+                        low_w = d
+                    up ^= a
+                low[w] = low_w
+                seen |= b
+                stack.append(w)
+                path.append(w)
                 continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-                if low[v] >= disc[pv]:
-                    edge = (pv, v) if pv < v else (v, pv)
-                    block = []
-                    while stack:
-                        e = stack.pop()
-                        block.append(e)
-                        if e == edge:
+            path.pop()
+            if path:
+                p = path[-1]
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                if low[v] >= disc[p]:
+                    block = 1 << p
+                    while True:
+                        u = stack.pop()
+                        block |= 1 << u
+                        if u == v:
                             break
-                    if block:
-                        blocks.append(frozenset(block))
-        if stack:
-            blocks.append(frozenset(stack))
-            stack.clear()
+                    blocks.append(block)
     return blocks
 
 
@@ -321,7 +312,13 @@ def is_chordless_cycle_sequence(g: Graph, nodes: Sequence[int]) -> bool:
 def is_clique_mask(g: Graph, m: int) -> bool:
     """True iff the nodes of mask m are pairwise adjacent."""
     adj = g._adj
-    return all(adj[v] & m == m & ~(1 << v) for v in _bits(m))
+    rest = m
+    while rest:
+        b = rest & -rest
+        if adj[b.bit_length() - 1] & m != m ^ b:
+            return False
+        rest ^= b
+    return True
 
 
 def is_clique_graph(g: Graph) -> bool:
@@ -337,7 +334,7 @@ def cliques(g: Graph, cand: int) -> Iterator[int]:
 
 
 def _extend_cliques(adj: tuple[int, ...], clique: int, cand: int) -> Iterator[int]:
-    for v in _bits(cand):
+    for v in bits(cand):
         new = clique | (1 << v)
         yield new
         yield from _extend_cliques(adj, new, cand & adj[v] & ~((1 << (v + 1)) - 1))
@@ -370,7 +367,7 @@ def path_order(g: Graph, part: int) -> Optional[list[int]]:
     if part.bit_count() == 1:
         return [part.bit_length() - 1]
     adj = g._adj
-    ends = [v for v in _bits(part) if (adj[v] & part).bit_count() == 1]
+    ends = [v for v in bits(part) if (adj[v] & part).bit_count() == 1]
     if len(ends) != 2:
         return None
     order = walk(g, part, ends[0], (adj[ends[0]] & part).bit_length() - 1,
@@ -411,7 +408,7 @@ def hole_order(g: Graph) -> list[int]:
 def is_triangle_free(g: Graph) -> bool:
     adj = g._adj
     for u in range(g.n):
-        for v in _bits(adj[u] & -1 << (u + 1)):
+        for v in bits(adj[u] & -2 << u):
             if adj[u] & adj[v]:
                 return False
     return True

@@ -45,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .graph import Graph, _bits, _hole, bits, mask_of, reach, walk
+from .graph import Graph, _hole, bits, mask_of, reach, walk
 
 KINDS = ("theta", "wheel", "prism", "pyramid")
 
@@ -100,9 +100,9 @@ def _three_path_mask(g: Graph, sub: int, deg3: int) -> Optional[ConfigWitness]:
     adj = g._adj
     tris = []  # lexicographic
     singles = deg3
-    for u in _bits(deg3):
-        for v in _bits(adj[u] & deg3 & -2 << u):
-            for w in _bits(adj[u] & adj[v] & deg3 & -2 << v):
+    for u in bits(deg3):
+        for v in bits(adj[u] & deg3 & -2 << u):
+            for w in bits(adj[u] & adj[v] & deg3 & -2 << v):
                 tris.append(1 << u | 1 << v | 1 << w)
                 singles &= ~tris[-1]
     if len(tris) + singles.bit_count() != 2 or len(tris) == 2 and tris[0] & tris[1]:
@@ -114,8 +114,8 @@ def _three_path_mask(g: Graph, sub: int, deg3: int) -> Optional[ConfigWitness]:
     if not tris and adj[near.bit_length() - 1] & far:
         return None
     paths = []
-    for x in _bits(near):
-        for first in _bits(adj[x] & sub & ~near):
+    for x in bits(near):
+        for first in bits(adj[x] & sub & ~near):
             path = walk(g, sub, x, first, deg3)
             if path is None or not far >> path[-1] & 1:
                 return None

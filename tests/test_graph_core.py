@@ -4,10 +4,13 @@ from itertools import combinations, permutations
 
 import pytest
 
-from truemper.graph import (EdgeListParseError, Graph, _hole, biconnected_blocks,
-                            bits, cliques, components, components_masks,
-                            find_claw, find_diamond, format_edge_list,
-                            from_graph6, graph_from_json, graph_json,
+from truemper.basic import is_chordless_graph
+from truemper.gen import random_tf_chordless
+from truemper.graph import (MAX_NODES, EdgeListParseError, Graph, _hole,
+                            biconnected_blocks, bits, cliques, components,
+                            components_masks, find_claw, find_diamond,
+                            format_edge_list, from_graph6, graph_from_json,
+                            graph_json,
                             hole_order, induced_subgraph, is_clique_graph,
                             is_chordless_path_sequence, is_connected,
                             is_hole_graph, is_triangle_free, mask_of,
@@ -15,7 +18,8 @@ from truemper.graph import (EdgeListParseError, Graph, _hole, biconnected_blocks
 
 from util import (all_graphs, assert_revalidates, gnp_graphs,
                   graph_from_bits, is_isomorphic, random_graph,
-                  reference_find_claw, reference_find_diamond, small_graphs,
+                  reference_biconnected_blocks, reference_find_claw,
+                  reference_find_diamond, small_graphs,
                   tf_chordless_line_graphs)
 
 C5 = Graph.from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
@@ -148,28 +152,27 @@ class TestConnectivity:
 class TestBiconnectedBlocks:
     def test_path(self):
         g = Graph.from_edge_list(3, [(0, 1), (1, 2)])
-        assert set(biconnected_blocks(g)) == {frozenset({(0, 1)}),
-                                              frozenset({(1, 2)})}
+        assert set(biconnected_blocks(g)) == {0b011, 0b110}
 
     def test_c4_single_block(self):
         g = Graph.from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        blocks = biconnected_blocks(g)
-        assert len(blocks) == 1 and len(blocks[0]) == 4
+        assert biconnected_blocks(g) == [0b1111]
 
     def test_two_triangles_sharing_a_node(self):
         g = Graph.from_edge_list(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
-        assert len(biconnected_blocks(g)) == 2
+        assert set(biconnected_blocks(g)) == {0b00111, 0b11100}
 
     def test_blocks_partition_edges(self):
         rng = random.Random(3)
         for _ in range(60):
             g = random_graph(rng, rng.randint(2, 9), 0.3)
             blocks = biconnected_blocks(g)
-            union = set()
+            for u, v in g.edges():
+                both = 1 << u | 1 << v
+                assert sum(b & both == both for b in blocks) == 1
+            # every block is spanned by its edges: no isolated node in it
             for b in blocks:
-                assert not (b & union)
-                union |= b
-            assert union == set(g.edges())
+                assert all(g.adj_mask(v) & b for v in bits(b))
 
     def test_block_membership_matches_cycles(self):
         # two nodes share a block iff they are adjacent or lie on a common
@@ -197,16 +200,32 @@ class TestBiconnectedBlocks:
         for _ in range(25):
             g = random_graph(rng, rng.randint(3, 7), 0.35)
             blocks = biconnected_blocks(g)
-            node_sets = []
-            for b in blocks:
-                ns = set()
-                for a, c in b:
-                    ns |= {a, c}
-                node_sets.append(ns)
             for u in range(g.n):
                 for v in range(u + 1, g.n):
-                    together = any(u in ns and v in ns for ns in node_sets)
+                    both = 1 << u | 1 << v
+                    together = any(b & both == both for b in blocks)
                     assert together == on_common_cycle(g, u, v)
+
+    def test_matches_edge_stack_reference(self):
+        corpus = list(small_graphs()) + list(gnp_graphs(23, 400, 7, 16))
+        corpus += [random_tf_chordless(seed, 5 + seed % 30) for seed in range(60)]
+        for g in corpus:
+            want = [mask_of(w for e in block for w in e)
+                    for block in reference_biconnected_blocks(g)]
+            assert sorted(biconnected_blocks(g)) == sorted(want), g.edges()
+
+    def test_depth_at_max_nodes(self):
+        n = MAX_NODES
+        path = Graph.from_edge_list(n, [(v, v + 1) for v in range(n - 1)])
+        blocks = biconnected_blocks(path)
+        assert sorted(blocks) == sorted(3 << v for v in range(n - 1))
+        cycle_edges = [(v, v + 1) for v in range(n - 1)] + [(0, n - 1)]
+        cycle = Graph.from_edge_list(n, cycle_edges)
+        assert biconnected_blocks(cycle) == [cycle.full_mask()]
+        assert is_chordless_graph(cycle)
+        chorded = Graph.from_edge_list(n, cycle_edges + [(0, n // 2)])
+        assert biconnected_blocks(chorded) == [chorded.full_mask()]
+        assert not is_chordless_graph(chorded)
 
 
 class TestSmallPredicates:

@@ -4,12 +4,12 @@ consistent 2-join compositions) that the tests and tests/digest.py draw
 from, a JSON Schema validator, a small-n isomorphism check, an
 independent template-based oracle for the four configurations, and the
 plain versions of the claw and diamond finders, the clique-cutset search
-over every clique, the chord test, the clique-enumerating root search,
-the edge-pair 2-join seed enumerator, the per-node 2-join forcing
-closure, the per-kind theta, prism and pyramid checks and the
-combinations sweep of the oracle that the library's bitset,
-bounded-candidate, adjacency-mask, mask-algebra, three-path and
-pruned-DFS versions must match exactly."""
+over every clique, the edge-stack block walker and the chord test on
+it, the clique-enumerating root search, the edge-pair 2-join seed
+enumerator, the per-node 2-join forcing closure, the per-kind theta,
+prism and pyramid checks and the combinations sweep of the oracle that
+the library's bitset, node-mask, bounded-candidate, adjacency-mask,
+mask-algebra, three-path and pruned-DFS versions must match exactly."""
 
 from __future__ import annotations
 
@@ -24,9 +24,8 @@ from truemper.basic import _root_with_edge_map, build_pyramid_basic, line_graph
 from truemper.cutset import CliqueSplit
 from truemper.gen import (_marker_candidates, _random_safe_labeled_tree,
                           make_pyramid, random_tf_chordless)
-from truemper.graph import (Graph, biconnected_blocks, bits, cliques,
-                            components_masks, is_clique_graph,
-                            is_triangle_free, mask_of, walk)
+from truemper.graph import (Graph, bits, cliques, components_masks,
+                            is_clique_graph, is_triangle_free, mask_of, walk)
 from truemper.oracle import (_KIND_BY_DEGREE3, _MIN_NODES, ConfigWitness,
                              _three_path_mask, _wheel_mask)
 from truemper.twojoin import (TwoJoinSplit, compose_2join_with_split,
@@ -418,6 +417,66 @@ def reference_find_clique_cutset(g: Graph) -> Optional[CliqueSplit]:
     return CliqueSplit(a_mask, k_mask, g.full_mask() & ~a_mask & ~k_mask)
 
 
+def reference_biconnected_blocks(g: Graph) -> list[frozenset[tuple[int, int]]]:
+    """2-connected blocks as edge sets (edges normalized u < v).
+
+    Iterative Hopcroft-Tarjan over an edge stack; isolated nodes
+    contribute no block.  The library's node-mask walker must give the
+    node sets of these blocks.
+    """
+    disc = [-1] * g.n
+    low = [0] * g.n
+    blocks: list[frozenset[tuple[int, int]]] = []
+    stack: list[tuple[int, int]] = []
+    timer = 0
+    for root in range(g.n):
+        if disc[root] != -1:
+            continue
+        work = [(root, -1, iter(g.neighbors(root)))]
+        disc[root] = low[root] = timer
+        timer += 1
+        while work:
+            v, parent, it = work[-1]
+            advanced = False
+            for w in it:
+                if w == parent:
+                    # skip one parent edge occurrence; simple graph so this is exact
+                    parent = -1
+                    work[-1] = (v, -1, it)
+                    continue
+                if disc[w] == -1:
+                    stack.append((v, w) if v < w else (w, v))
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    work.append((w, v, iter(g.neighbors(w))))
+                    advanced = True
+                    break
+                if disc[w] < disc[v]:
+                    stack.append((v, w) if v < w else (w, v))
+                    low[v] = min(low[v], disc[w])
+                    work[-1] = (v, parent, it)
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                pv = work[-1][0]
+                low[pv] = min(low[pv], low[v])
+                if low[v] >= disc[pv]:
+                    edge = (pv, v) if pv < v else (v, pv)
+                    block = []
+                    while stack:
+                        e = stack.pop()
+                        block.append(e)
+                        if e == edge:
+                            break
+                    if block:
+                        blocks.append(frozenset(block))
+        if stack:
+            blocks.append(frozenset(stack))
+            stack.clear()
+    return blocks
+
+
 def reference_is_chordless_graph(r: Graph) -> bool:
     """Every edge tested: a chord's ends still share a 2-connected block
     once the edge is removed."""
@@ -425,7 +484,7 @@ def reference_is_chordless_graph(r: Graph) -> bool:
         rows = [r.adj_mask(w) for w in range(r.n)]
         rows[u] &= ~(1 << v)
         rows[v] &= ~(1 << u)
-        for block in biconnected_blocks(Graph(r.n, rows)):
+        for block in reference_biconnected_blocks(Graph(r.n, rows)):
             nodes = {w for e in block for w in e}
             if u in nodes and v in nodes:
                 return False
