@@ -148,20 +148,27 @@ def is_chordless_graph(r: Graph) -> bool:
 
     An edge uv is a chord of some cycle exactly when u and v still share
     a block, a node mask of biconnected_blocks, after the edge itself is
-    removed.  Both ends of a chord lie on its cycle, so both have degree
-    at least 3.
+    removed.  A cycle and its chords lie in one block of r, and the two
+    paths that join u and v without uv lie in the block of uv, so each
+    block is tested on its own.  A block needs at least 4 nodes to hold
+    a chord, and both ends of a chord lie on its cycle, so both have
+    degree at least 3 inside the block.
     """
-    adj = r._adj
-    for u, v in r.edges():
-        if adj[u].bit_count() < 3 or adj[v].bit_count() < 3:
+    for block in biconnected_blocks(r):
+        if block.bit_count() < 4:
             continue
-        rows = list(adj)
-        rows[u] &= ~(1 << v)
-        rows[v] &= ~(1 << u)
-        both = 1 << u | 1 << v
-        if any(block & both == both
-               for block in biconnected_blocks(Graph.derived(r.n, rows))):
-            return False
+        sub, _ = induced_subgraph(r, bits(block))
+        adj = sub._adj
+        for u, v in sub.edges():
+            if adj[u].bit_count() < 3 or adj[v].bit_count() < 3:
+                continue
+            rows = list(adj)
+            rows[u] &= ~(1 << v)
+            rows[v] &= ~(1 << u)
+            both = 1 << u | 1 << v
+            if any(b & both == both
+                   for b in biconnected_blocks(Graph.derived(sub.n, rows))):
+                return False
     return True
 
 

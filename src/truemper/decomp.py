@@ -9,8 +9,9 @@ in place of its graph, and is not stepped again.  Each layer hands its
 output conventions to DecompTree as data: the JSON keys written before
 the root, the DOT graph name and a node label function.
 Node fields that a layer leaves unset (origin, failed_condition) are
-omitted from the JSON.  The builder and the DOT writer walk the tree with
-explicit stacks, so a tree may be deeper than Python's recursion limit.
+omitted from the JSON.  The builder, the JSON builder and the DOT writer
+walk the tree with explicit stacks, so a tree may be deeper than
+Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -42,20 +43,33 @@ class DecompNode:
         return not self.children
 
     def to_json(self) -> dict:
-        out = graph_json(self.graph)
-        if self.origin is not None:
-            out["origin"] = list(self.origin)
-        out["kind"] = self.kind
-        if self.split is not None:
-            out["split"] = self.split.to_json()
-        if self.failed_condition is not None:
-            out["failed_condition"] = self.failed_condition
-        if self.children:
-            out["children"] = [c.to_json() for c in self.children]
-        return out
+        """The subtree as nested dicts, built with an explicit stack, so
+        building it takes any depth; json.dumps of the result still
+        recurses once per level."""
+        result = None
+        # (node, the children list of its parent's dict), first child on top
+        todo: list = [(self, None)]
+        while todo:
+            node, siblings = todo.pop()
+            out = graph_json(node.graph)
+            if node.origin is not None:
+                out["origin"] = list(node.origin)
+            out["kind"] = node.kind
+            if node.split is not None:
+                out["split"] = node.split.to_json()
+            if node.failed_condition is not None:
+                out["failed_condition"] = node.failed_condition
+            if node.children:
+                out["children"] = kids = []
+                todo.extend((child, kids) for child in reversed(node.children))
+            if siblings is None:
+                result = out
+            else:
+                siblings.append(out)
+        return result
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecompTree:
     root: DecompNode
     leaves: list[DecompNode]

@@ -11,6 +11,12 @@ further along consistent 2-joins, whose terminal graphs must be cliques,
 holes, long pyramids or pyramid-basic graphs; universally-signable
 leaves must be cliques or holes.  The first failing leaf becomes the
 rejection, and only its graph goes to the oracle for a witness.
+
+The recognizers of one graph share one clique tree: _recognize keeps the
+last graph it was given and that graph's tree until the next recognizer
+call, and reuses the tree when the next graph is equal.  A tree is never
+modified once built, so every report of that graph holds the same tree
+object.
 """
 
 from __future__ import annotations
@@ -94,12 +100,31 @@ class RecognitionReport:
         }
 
 
+# The last graph recognized and its clique tree.
+_last_tree: Optional[tuple[Graph, DecompTree]] = None
+
+
+def _clique_tree(g: Graph) -> DecompTree:
+    """The clique tree of g, built only if g differs from the last graph.
+
+    A build goes through this module's name clique_decomposition_tree,
+    so a wrapper bound to that name sees every build.  The pair is read
+    once, so a caller returns the tree of the graph it compared even if
+    another thread replaces the pair meanwhile.
+    """
+    global _last_tree
+    last = _last_tree
+    if last is None or last[0] != g:
+        last = _last_tree = (g, clique_decomposition_tree(g))
+    return last[1]
+
+
 def _recognize(class_name: str, g: Graph, witness_cap: Optional[int],
                certify: Callable[[DecompNode], tuple]) -> RecognitionReport:
     """Run certify on every clique-tree leaf.  certify returns the leaf's
     report and, for a failing leaf, (reason, offending graph, failed
     consistency condition); the first failure rejects g."""
-    tree = clique_decomposition_tree(g)
+    tree = _clique_tree(g)
     leaves = []
     rejection = None
     for node in tree.leaves:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,9 +7,15 @@ from truemper.basic import is_chordless_graph
 from truemper.gen import (SynthRecipe, glue_on_clique, plant_configuration,
                           random_tf_chordless, replay_recipe,
                           synth_only_prism, synth_only_pyramid)
-from truemper.graph import Graph, components, is_triangle_free
+from truemper.graph import Graph, components, format_edge_list, is_triangle_free
 from truemper.oracle import contains_config
 from truemper.recognize import recognize_only_prism, recognize_only_pyramid
+
+from util import reference_is_chordless_graph
+
+# sha256 of format_edge_list(random_tf_chordless(1, 400)), taken while the
+# chord test still walked the whole graph once per edge
+SCALE_ROOT_SHA256 = "4c7e4de5281931b9c3230c4f2fc247bfb92ca59194bcae5fa58d62a227d3de59"
 
 
 class TestRandomTfChordless:
@@ -22,6 +29,16 @@ class TestRandomTfChordless:
 
     def test_single_node(self):
         assert random_tf_chordless(0, 1).n == 1
+
+    @pytest.mark.slow
+    def test_scale_root_is_pinned(self):
+        # the root of the n=481 line graph: every accepted or refused extra
+        # edge goes through the chord test, so its edge list pins that test
+        r = random_tf_chordless(1, 400)
+        assert (r.n, r.m) == (400, 481)
+        text = format_edge_list(r)
+        assert hashlib.sha256(text.encode()).hexdigest() == SCALE_ROOT_SHA256
+        assert is_triangle_free(r) and reference_is_chordless_graph(r)
 
 
 class TestGlueOnClique:

@@ -1,11 +1,14 @@
 import gc
 import json
 import random
+from itertools import permutations
 
 import truemper.recognize
 from truemper.gen import (glue_on_clique, make_pyramid, plant_configuration,
-                          random_tf_chordless)
+                          random_tf_chordless, synth_only_prism,
+                          synth_only_pyramid)
 from truemper.basic import line_graph
+from truemper.cutset import clique_decomposition_tree
 from truemper.decomp import INTERNAL, DecompNode, DecompTree, decompose
 from truemper.graph import Graph, induced_subgraph
 from truemper.oracle import (contains_config, is_prism, is_pyramid, is_theta,
@@ -13,8 +16,11 @@ from truemper.oracle import (contains_config, is_prism, is_pyramid, is_theta,
 from truemper.recognize import (EXCLUDED_SETS, recognize_only_prism,
                                 recognize_only_pyramid,
                                 recognize_universally_signable)
+from truemper.twojoin import two_join_decomposition_tree
 
-from util import all_graphs, gnp_graphs, perfect_elimination_chordal, random_graph
+from util import (all_graphs, consistent_composition, gnp_graphs,
+                  perfect_elimination_chordal, planted_2join, random_graph,
+                  reference_node_json, relabeled)
 
 K4 = Graph.from_edge_list(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
 W4 = Graph.from_edge_list(5, [(0, 1), (1, 2), (2, 3), (0, 3),
@@ -198,6 +204,86 @@ class TestDegenerateInputs:
                 assert report.clique_tree.to_dot().count(" -- ") == 2 * leaves - 2
 
 
+RECOGNIZERS = (recognize_only_prism, recognize_only_pyramid,
+               recognize_universally_signable)
+
+
+def shared_tree_corpus() -> list[Graph]:
+    """Seeded G(n, p), planted configurations of every kind and members
+    of both synthesized classes."""
+    graphs = list(gnp_graphs(60, 24, 5, 11, [0.2, 0.5, 0.8]))
+    graphs += [plant_configuration(seed, kind, 11) for seed in range(2)
+               for kind in ("theta", "wheel", "prism", "pyramid")]
+    graphs += [synth_only_prism(seed, 16)[0] for seed in range(3)]
+    graphs += [synth_only_pyramid(seed, 12)[0] for seed in range(3)]
+    return graphs
+
+
+def outputs(report):
+    return json.dumps(report.to_json()), report.clique_tree.to_dot()
+
+
+def cold_outputs(rec, g):
+    """rec's report on g with its clique tree built afresh."""
+    truemper.recognize._last_tree = None
+    return outputs(rec(g, witness_cap=14))
+
+
+class TestSharedCliqueTree:
+    def test_every_order_matches_a_cold_build(self):
+        for g in shared_tree_corpus():
+            want = {rec: cold_outputs(rec, g) for rec in RECOGNIZERS}
+            for order in permutations(RECOGNIZERS):
+                truemper.recognize._last_tree = None
+                reports = [rec(g, witness_cap=14) for rec in order]
+                assert all(r.clique_tree is reports[0].clique_tree for r in reports)
+                for rec, report in zip(order, reports):
+                    assert outputs(report) == want[rec], (rec.__name__, g.edges())
+
+    def test_interleaved_graphs_match_cold_builds(self):
+        # each graph comes with an equal-sized relabeling, so a memo that
+        # told graphs apart by size alone would hand one the other's tree
+        rng = random.Random(61)
+        graphs = []
+        for g in shared_tree_corpus():
+            graphs += [g, relabeled(g, rng)]
+        want = [{rec: cold_outputs(rec, g) for rec in RECOGNIZERS} for g in graphs]
+        for i in range(len(graphs) - 1):
+            for rec in RECOGNIZERS:
+                for k in (i, i + 1, i):
+                    report = rec(graphs[k], witness_cap=14)
+                    assert outputs(report) == want[k][rec], (rec.__name__, k)
+
+    def test_an_equal_graph_object_hits_the_memo(self):
+        g = plant_configuration(3, "prism", 11)
+        twin = Graph(g.n, [g.adj_mask(v) for v in range(g.n)])
+        assert twin is not g and twin == g
+        truemper.recognize._last_tree = None
+        first = recognize_only_prism(g)
+        assert recognize_only_pyramid(twin).clique_tree is first.clique_tree
+
+    def test_builds_counted(self, monkeypatch):
+        builds = []
+
+        def counting(g):
+            builds.append(g)
+            return clique_decomposition_tree(g)
+
+        monkeypatch.setattr(truemper.recognize, "clique_decomposition_tree", counting)
+        monkeypatch.setattr(truemper.recognize, "_last_tree", None)
+        g1 = plant_configuration(4, "theta", 11)
+        g2 = relabeled(g1, random.Random(62))
+        assert g2 != g1
+        for rec in RECOGNIZERS:
+            rec(g1)
+        assert builds == [g1]
+        builds.clear()
+        truemper.recognize._last_tree = None
+        for g in (g1, g2, g1):
+            recognize_only_pyramid(g)
+        assert builds == [g1, g2, g1]
+
+
 class TestNoReferenceCycles:
     def test_recognition_leaves_nothing_for_the_cycle_collector(self):
         # each report is freed by reference counting alone
@@ -246,3 +332,23 @@ class TestDeepTrees:
         assert lines[-n:-1] == [f"  v{2 * k} -- v{2 * k + 2};"
                                 for k in reversed(range(n - 1))]
         assert len(lines) == 3 + (2 * n - 1) + (2 * n - 2)
+        # the JSON builder takes the chain too: one level per peeled node
+        node = tree.to_json()["root"]
+        for v in range(n - 1):
+            assert node["kind"] == INTERNAL and node["n"] == n - v
+            single, node = node["children"]
+            assert single["origin"] == [v] and single["kind"] == "leaf"
+        assert node["origin"] == [n - 1] and "children" not in node
+
+    def test_json_matches_the_recursive_writer(self):
+        rng = random.Random(63)
+        trees = [clique_decomposition_tree(g)
+                 for g in gnp_graphs(64, 60, 5, 12, [0.2, 0.5, 0.8])]
+        trees += [two_join_decomposition_tree(planted_2join(rng, rng.randint(8, 14)))
+                  for _ in range(30)]
+        trees += [two_join_decomposition_tree(consistent_composition(rng)[0])
+                  for _ in range(20)]
+        assert any(len(t.leaves) > 2 for t in trees)
+        for tree in trees:
+            assert (json.dumps(tree.root.to_json())
+                    == json.dumps(reference_node_json(tree.root)))

@@ -4,12 +4,13 @@ consistent 2-join compositions) that the tests and tests/digest.py draw
 from, a JSON Schema validator, a small-n isomorphism check, an
 independent template-based oracle for the four configurations, and the
 plain versions of the claw and diamond finders, the clique-cutset search
-over every clique, the edge-stack block walker and the chord test on
-it, the clique-enumerating root search, the edge-pair 2-join seed
-enumerator, the per-node 2-join forcing closure, the per-kind theta,
-prism and pyramid checks and the combinations sweep of the oracle that
-the library's bitset, node-mask, bounded-candidate, adjacency-mask,
-mask-algebra, three-path and pruned-DFS versions must match exactly."""
+over every clique, the recursive tree JSON writer, the edge-stack block
+walker and the chord test on it, the clique-enumerating root search,
+the edge-pair 2-join seed enumerator, the per-node 2-join forcing
+closure, the per-kind theta, prism and pyramid checks and the
+combinations sweep of the oracle that the library's bitset, node-mask,
+bounded-candidate, explicit-stack, adjacency-mask, mask-algebra,
+three-path and pruned-DFS versions must match exactly."""
 
 from __future__ import annotations
 
@@ -22,10 +23,12 @@ from typing import Iterator, Optional, Sequence
 
 from truemper.basic import _root_with_edge_map, build_pyramid_basic, line_graph
 from truemper.cutset import CliqueSplit
+from truemper.decomp import DecompNode
 from truemper.gen import (_marker_candidates, _random_safe_labeled_tree,
                           make_pyramid, random_tf_chordless)
 from truemper.graph import (Graph, bits, cliques, components_masks,
-                            is_clique_graph, is_triangle_free, mask_of, walk)
+                            graph_json, is_clique_graph, is_triangle_free,
+                            mask_of, walk)
 from truemper.oracle import (_KIND_BY_DEGREE3, _MIN_NODES, ConfigWitness,
                              _three_path_mask, _wheel_mask)
 from truemper.twojoin import (TwoJoinSplit, compose_2join_with_split,
@@ -415,6 +418,22 @@ def reference_find_clique_cutset(g: Graph) -> Optional[CliqueSplit]:
         nbhd |= g.adj_mask(v)
     k_mask = nbhd & ~a_mask
     return CliqueSplit(a_mask, k_mask, g.full_mask() & ~a_mask & ~k_mask)
+
+
+def reference_node_json(node: DecompNode) -> dict:
+    """A decomposition node's JSON as the recursive writer built it, key
+    order included."""
+    out = graph_json(node.graph)
+    if node.origin is not None:
+        out["origin"] = list(node.origin)
+    out["kind"] = node.kind
+    if node.split is not None:
+        out["split"] = node.split.to_json()
+    if node.failed_condition is not None:
+        out["failed_condition"] = node.failed_condition
+    if node.children:
+        out["children"] = [reference_node_json(c) for c in node.children]
+    return out
 
 
 def reference_biconnected_blocks(g: Graph) -> list[frozenset[tuple[int, int]]]:
